@@ -9,7 +9,6 @@
 //                                              #  diagnostics, timings)
 //   $ ./ompdart_cli input.c --emit=plan        # human-readable plan summary
 //   $ ./ompdart_cli input.c --emit=ir          # self-contained Mapping IR
-//   $ ./ompdart_cli input.c --cost-model=sim   # cost-driven candidate choice
 //   $ ./ompdart_cli input.c --stop-after=plan --emit=json
 //   $ ./ompdart_cli input.c --dump-ast         # front-end debugging
 //   $ ./ompdart_cli input.c --no-firstprivate --no-hoist
@@ -67,7 +66,6 @@ void usage(const char *argv0) {
       "  -o <file>            write output to <file> instead of stdout\n"
       "  --emit=<kind>        %s (default: source)\n"
       "  --stop-after=<stage> %s\n"
-      "  --cost-model=<name>  %s (default: paper-greedy)\n"
       "  --check              report plan-safety findings (stale-device-read,\n"
       "                       stale-host-read, dead-transfer, double-transfer,\n"
       "                       exit-without-entry) as warnings\n"
@@ -98,8 +96,7 @@ void usage(const char *argv0) {
       "                       lines and print each response line\n"
       "  --shutdown           with --connect: ask the server to stop\n",
       argv0, argv0, joined(emitKinds()).c_str(),
-      joined(stageNames()).c_str(),
-      joined(ompdart::costModelNames()).c_str());
+      joined(stageNames()).c_str());
 }
 
 std::string renderPlanSummaryFor(const ompdart::Report &report) {
@@ -410,7 +407,6 @@ int runServeMode(const std::string &socketPath, unsigned workers,
 /// asked for.
 ompdart::json::Value configOverrides(const ompdart::PipelineConfig &config) {
   ompdart::json::Value overrides = ompdart::json::Value::object();
-  overrides.set("costModel", config.costModel);
   overrides.set("firstprivate", config.planner.useFirstprivate);
   overrides.set("hoistUpdates", config.planner.hoistUpdates);
   overrides.set("regionOverLoops", config.planner.extendRegionOverLoops);
@@ -678,14 +674,6 @@ int main(int argc, char **argv) {
       if (!config.stopAfter) {
         std::fprintf(stderr, "unknown stage '%s' (valid stages: %s)\n",
                      stage.c_str(), joined(stageNames()).c_str());
-        return 1;
-      }
-    } else if (arg.rfind("--cost-model=", 0) == 0) {
-      config.costModel = arg.substr(13);
-      if (ompdart::makeCostModel(config.costModel) == nullptr) {
-        std::fprintf(stderr, "unknown cost model '%s' (known models: %s)\n",
-                     config.costModel.c_str(),
-                     joined(ompdart::costModelNames()).c_str());
         return 1;
       }
     } else if (arg == "--check") {

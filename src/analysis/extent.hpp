@@ -99,7 +99,7 @@ private:
   /// effectiveExtent is pure for a fixed function context but costs a full
   /// scan of the access stream (plus loop-bound analysis per enclosing
   /// loop, and call-site walks for parameters); the planner and checker
-  /// query it once per candidate, so memoize per variable until the
+  /// query it once per access, so memoize per variable until the
   /// context changes. Disagreement diagnostics stay correct: they are
   /// deduplicated independently above, so dropping repeat computations
   /// never drops a first-time report.

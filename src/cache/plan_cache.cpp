@@ -77,9 +77,8 @@ std::string indexKeyFor(const CacheKey &key, const std::string &fileName) {
   return fileName + "\n" + key.configHash + "\n" + key.toolVersion;
 }
 
-/// Reads one index document (a shard file or the legacy monolithic
-/// index.json) into `rows` for the rows `accept` admits; existing rows are
-/// kept (caller decides precedence by read order).
+/// Reads one index shard file into `rows` for the rows `acceptShard`
+/// admits, skipping rows in `skip`; existing rows are kept.
 void readIndexDocument(const fs::path &path,
                        std::map<std::string, std::string> &rows,
                        const std::set<std::string> &skip,
@@ -282,25 +281,7 @@ void PlanCache::loadShardLocked(unsigned shard) {
     return;
   stripe.loaded = true;
   static const std::set<std::string> kSkipNone;
-  std::error_code ec;
-  const bool shardFileExists = fs::exists(indexShardPath(shard), ec);
   readIndexDocument(indexShardPath(shard), stripe.rows, kSkipNone, shard);
-  // Legacy migration: a pre-sharding cache kept every row in one
-  // index.json. Every shard-file save includes the migrated rows (adoption
-  // marks the shard dirty), so once the shard file exists it is the
-  // authoritative superset of the legacy rows AND of later erasures — a
-  // row a writable cache deliberately dropped (stale detection) must not
-  // be resurrected from the legacy file on every fresh load. Only a shard
-  // that was never flushed adopts legacy rows. The legacy file itself is
-  // left in place and never rewritten — rows for shards no writable
-  // process has flushed yet stay readable there.
-  if (shardFileExists)
-    return;
-  const std::size_t beforeLegacy = stripe.rows.size();
-  readIndexDocument(fs::path(directory_) / "index.json", stripe.rows,
-                    kSkipNone, shard);
-  if (writable() && stripe.rows.size() != beforeLegacy)
-    stripe.dirty = true;
 }
 
 void PlanCache::mergeDiskShardLocked(unsigned shard) {

@@ -5,7 +5,7 @@
 // A cache key fingerprints everything that determines planning output:
 //   - the source buffer's content hash (not its path or mtime),
 //   - the planning-relevant PipelineConfig fingerprint (ablation switches,
-//     cost model, interprocedural pass cap — see planFingerprint()),
+//     interprocedural pass cap — see planFingerprint()),
 //   - the tool version (kToolVersion).
 // An entry stores the serialized Mapping IR plus everything the plan stage
 // produced besides it: complexity metrics and the diagnostics present at
@@ -24,10 +24,7 @@
 // sessions, multiple CLI processes — stripes its row updates across
 // independent locks and rewrites 1/N of the index per flush instead of one
 // monolithic index.json. Row-to-shard assignment uses the stable content
-// hash, so every process agrees on the layout; a legacy single-file
-// index.json is migrated shard-by-shard on first load (and ignored for a
-// shard once a flush has written that shard's file, which then carries the
-// migrated rows).
+// hash, so every process agrees on the layout.
 // Because entries are content-addressed, editing a source never corrupts a
 // cache: the edit changes the key, the lookup misses, and the superseded
 // entry for that file+config row is counted as an invalidation (the row is

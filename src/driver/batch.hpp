@@ -170,8 +170,8 @@ public:
     unsigned count = 100;
     gen::GenOptions gen;
     /// Interpreter limits + predicted-bytes switch for the oracle. The
-    /// oracle's pipeline config comes from Options::config (cost model,
-    /// shared plan cache).
+    /// oracle's pipeline config comes from Options::config (ablation
+    /// switches, shared plan cache).
     interp::InterpOptions interp;
     bool checkPredicted = true;
     /// Also verify the SourceRewriteBackend's transformed text against the

@@ -64,20 +64,12 @@ bool containsDataDirectives(const Stmt *stmt) {
 } // namespace
 
 std::string planFingerprint(const PipelineConfig &config) {
-  // Canonical JSON over every switch that can change planning output. The
-  // cost model is identified by name; configs carrying an *injected*
-  // CostModel instance never reach cache keying (probePlanCache refuses
-  // them as Uncacheable — a name cannot distinguish two differently tuned
-  // instances), so the instance branch below only serves direct callers
-  // that fingerprint configs for their own bookkeeping.
+  // Canonical JSON over every switch that can change planning output.
   json::Value doc = json::Value::object();
   doc.set("useFirstprivate", config.planner.useFirstprivate);
   doc.set("hoistUpdates", config.planner.hoistUpdates);
   doc.set("extendRegionOverLoops", config.planner.extendRegionOverLoops);
   doc.set("interprocedural", config.planner.interprocedural);
-  doc.set("costModel", config.planner.costModel != nullptr
-                           ? config.planner.costModel->name()
-                           : config.costModel);
   doc.set("rejectExistingDataDirectives",
           config.rejectExistingDataDirectives);
   doc.set("interprocMaxPasses", config.interprocMaxPasses);
@@ -201,22 +193,10 @@ bool Session::probePlanCache() {
   cache::PlanCache *cache = activeCache();
   if (cache == nullptr || !cache->enabled())
     return false;
-  // An injected CostModel instance is only identifiable by its name, and
-  // two differently-behaving models may share one — refusing to cache is
-  // the only fingerprint that cannot replay a stale plan. Named models
-  // (config.costModel) cache normally. Surface the refusal: a distinct
-  // status plus a note, so "configured a cache but never warms" is
-  // diagnosable.
-  if (config_.planner.costModel != nullptr) {
-    cacheStatus_ = PlanCacheStatus::Uncacheable;
-    diags_.note(SourceLocation{},
-                "plan cache skipped: an injected cost-model instance "
-                "cannot be fingerprinted; name the model via "
-                "PipelineConfig::costModel to enable caching");
-    return false;
-  }
   // Imports injected at the planner level bypass the config fingerprint;
   // only PipelineConfig::imports (hashed into the key) caches safely.
+  // Surface the refusal: a distinct status plus a note, so "configured a
+  // cache but never warms" is diagnosable.
   if (config_.planner.imports != nullptr) {
     cacheStatus_ = PlanCacheStatus::Uncacheable;
     diags_.note(SourceLocation{},
@@ -259,8 +239,8 @@ void Session::storePlanCacheEntry() {
   if (cache == nullptr || !cache->writable())
     return;
   // An empty source hash means the probe bailed before keying (cache
-  // disabled, or an injected cost-model instance that cannot be
-  // fingerprinted) — never store under an unkeyed address.
+  // disabled, or planner-level imports that cannot be fingerprinted) —
+  // never store under an unkeyed address.
   if (cacheKey_.sourceHash.empty())
     return;
   if (planFromCache_ || !parseOk_ || diags_.hasErrors())
@@ -292,19 +272,6 @@ void Session::ensurePlan() {
     PlannerOptions options = config_.planner;
     if (config_.imports != nullptr)
       options.imports = config_.imports;
-    if (options.costModel == nullptr) {
-      costModel_ = makeCostModel(config_.costModel);
-      if (costModel_ == nullptr) {
-        std::string known;
-        for (const std::string &name : costModelNames())
-          known += (known.empty() ? "" : ", ") + name;
-        diags_.error(SourceLocation{},
-                     "unknown cost model '" + config_.costModel +
-                         "' (known models: " + known + ")");
-        return;
-      }
-      options.costModel = costModel_.get();
-    }
     plan_ = planMappings(ast_->unit(), interproc_, diags_, options, &cfgs_);
     ir_ = ir::liftPlan(plan_, fileName_);
     // Table IV counters are a pure function of the fresh plan artifacts.

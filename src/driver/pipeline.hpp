@@ -25,7 +25,6 @@
 #include "cfg/cfg.hpp"
 #include "driver/report.hpp"
 #include "frontend/ast.hpp"
-#include "mapping/cost.hpp"
 #include "mapping/ir.hpp"
 #include "mapping/plan.hpp"
 #include "mapping/planner.hpp"
@@ -43,11 +42,6 @@ namespace ompdart {
 /// Unified configuration for the whole pipeline.
 struct PipelineConfig {
   PlannerOptions planner;
-  /// Cost model scoring the planner's candidate sets ("paper-greedy" |
-  /// "sim"; see costModelNames()). Ignored when `planner.costModel` already
-  /// carries an instance. Unknown names fail the plan stage with a
-  /// diagnostic.
-  std::string costModel = "paper-greedy";
   /// Reject inputs that already contain target data / target update
   /// directives (paper §IV-A: the expected input has none).
   bool rejectExistingDataDirectives = true;
@@ -88,7 +82,7 @@ struct PipelineConfig {
 };
 
 /// Fingerprint of every PipelineConfig field that can change planning
-/// output (ablation switches, cost model, interprocedural pass cap, input
+/// output (ablation switches, interprocedural pass cap, input
 /// validation). Cache keys embed this, so flipping any such switch is an
 /// automatic cache invalidation; presentation-only fields (stopAfter,
 /// includeOutputInReport, cache wiring) are excluded.
@@ -101,7 +95,7 @@ public:
   enum class PlanCacheStatus {
     Disabled,    ///< no cache configured (or the probe has not run)
     Uncacheable, ///< cache configured, but this config cannot be keyed
-                 ///< (injected cost-model instance)
+                 ///< (planner-level imports)
     Miss,        ///< probed, planned fresh
     Hit,         ///< probed, plan re-hydrated from the cache
   };
@@ -244,8 +238,6 @@ private:
   /// Findings of the check stage; empty before it runs (and when it was
   /// skipped after a cache hit).
   check::CheckResult checkResult_;
-  /// Owns the cost model named by `config.costModel` for the plan stage.
-  std::unique_ptr<CostModel> costModel_;
   std::string rewritten_;
   ComplexityMetrics metrics_;
   std::optional<Report> report_;

@@ -146,7 +146,6 @@ BenchmarkComparison runBenchmark(const suite::BenchmarkDef &def,
   // inside the report.
   PipelineConfig config;
   config.includeOutputInReport = false;
-  config.costModel = options.costModel;
   Session session(def.name + ".c", def.unoptimized, config);
   const bool toolOk = session.run();
   const ComplexityMetrics &metrics = session.metrics();

@@ -24,13 +24,11 @@
 
 namespace ompdart::exp {
 
-/// Harness knobs (variant execution path, planner cost model).
+/// Harness knobs (variant execution path).
 struct ExperimentOptions {
   /// Run the OMPDart variant via ApplyToInterpBackend (plan overlay on the
   /// session's AST) instead of interpreting the rewritten source.
   bool useInterpBackend = true;
-  /// Cost model driving the planner's candidate selection.
-  std::string costModel = "paper-greedy";
 };
 
 /// Measurements for one benchmark variant.
@@ -74,7 +72,7 @@ struct BenchmarkComparison {
   std::uint64_t possibleMappings = 0;
   /// The tool's transformed source (for inspection/examples).
   std::string transformedSource;
-  /// Static cost-model prediction of the plan's transfer bytes (one region
+  /// Static prediction of the plan's transfer bytes (one region
   /// execution), for predicted-vs-simulated comparisons.
   std::uint64_t predictedPlanBytes = 0;
 

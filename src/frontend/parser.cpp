@@ -1521,14 +1521,14 @@ Expr *Parser::parsePostfix(Expr *base) {
       }
       const std::string member = consume().text;
       const Type *memberType = context_.types().intType();
-      const Type *recordCandidate = base->type();
+      const Type *recordType = base->type();
       if (isArrow) {
         if (const auto *pointer =
-                dynamic_cast<const PointerType *>(recordCandidate))
-          recordCandidate = pointer->pointee();
+                dynamic_cast<const PointerType *>(recordType))
+          recordType = pointer->pointee();
       }
       if (const auto *record =
-              dynamic_cast<const RecordType *>(recordCandidate)) {
+              dynamic_cast<const RecordType *>(recordType)) {
         if (const FieldDecl *field = record->decl()->findField(member))
           memberType = field->type;
         else

@@ -16,7 +16,7 @@ namespace {
 /// Collects deletable source ranges: every statement reachable from a
 /// compound body plus whole non-main function definitions. Ranges come
 /// back largest-first so the greedy pass tries the biggest cut available.
-class CandidateCollector {
+class DeletableRangeCollector {
 public:
   void function(const FunctionDecl *fn) {
     if (fn->body() == nullptr)
@@ -166,7 +166,7 @@ ShrinkResult shrinkProgram(const std::string &source,
     const auto context = parseInto(sm);
     if (context == nullptr)
       break; // should not happen: the kept source always parses
-    CandidateCollector collector;
+    DeletableRangeCollector collector;
     for (const FunctionDecl *fn : context->unit().functions)
       collector.function(fn);
     for (const SourceRange &range : collector.take()) {

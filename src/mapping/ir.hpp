@@ -174,7 +174,8 @@ struct MapItem {
   /// Full item spelling, e.g. "a[0:n]"; the plain variable name otherwise.
   std::string item;
   Extent extent;
-  /// Estimated bytes this mapping moves one way (reports / cost models).
+  /// Estimated bytes this mapping moves one way (reports / transfer
+  /// prediction).
   std::uint64_t approxBytes = 0;
   /// Of the region's provable entries, how many pay this item's
   /// present-table 0->1/1->0 transition copies. Defaults to the region's

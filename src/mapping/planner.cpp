@@ -248,36 +248,11 @@ bool MappingPlanner::chooseRegionExtent(const AstCfg &cfg,
   const OmpDirectiveStmt *firstKernel = kernels.front();
   const OmpDirectiveStmt *lastKernel = kernels.back();
 
-  // Region extent is itself a candidate decision: hoist the region outside
-  // the loops capturing the kernels (one map set per region execution) or
-  // keep it at the kernel statements (maps re-enter on every iteration).
-  // The ablation switch removes the RegionOverLoops candidate.
-  bool extendOverLoops = false;
-  if (options_.extendRegionOverLoops) {
-    std::vector<Candidate> set;
-    Candidate overLoops;
-    overLoops.kind = CandidateKind::RegionOverLoops;
-    overLoops.occurrences = 1;
-    overLoops.transfersPerOccurrence =
-        static_cast<unsigned>(kernels.size());
-    overLoops.paperRank = 0;
-    set.push_back(overLoops);
-    Candidate perKernel;
-    perKernel.kind = CandidateKind::RegionPerKernel;
-    const auto *firstLoops = cfg.enclosingLoops(firstKernel);
-    perKernel.occurrences = tripCountEstimate(
-        firstLoops != nullptr ? *firstLoops
-                              : std::vector<const Stmt *>{});
-    perKernel.transfersPerOccurrence =
-        static_cast<unsigned>(kernels.size());
-    perKernel.paperRank = 1;
-    set.push_back(perKernel);
-    extendOverLoops =
-        set[costModel().choose(set)].kind == CandidateKind::RegionOverLoops;
-  }
-
+  // Hoist the region outside the loops capturing the kernels (one map set
+  // per region execution) unless the region-extent ablation keeps it at the
+  // kernel statements (maps re-enter on every iteration).
   auto outermostLoopOf = [&](const OmpDirectiveStmt *kernel) -> const Stmt * {
-    if (!extendOverLoops)
+    if (!options_.extendRegionOverLoops)
       return kernel;
     const auto *loops = cfg.enclosingLoops(kernel);
     if (loops != nullptr && !loops->empty())
@@ -527,30 +502,9 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
   if (options_.useFirstprivate) {
     std::vector<VarDecl *> firstprivateVars;
     for (auto &[var, facts] : facts_) {
-      if (!facts.referencedInKernel || facts.deviceWrite || !facts.deviceRead)
-        continue;
-      if (isAggregateLike(var))
-        continue;
-      // Candidates: pass the scalar with each launch (no memcpy) or keep
-      // the region-entry mapping.
-      std::vector<Candidate> set;
-      Candidate firstprivate;
-      firstprivate.kind = CandidateKind::Firstprivate;
-      firstprivate.transfersPerOccurrence = 0;
-      firstprivate.occurrences = saturatingMul(
-          regionEntryCount_,
-          std::max<std::uint64_t>(1, cfg_->kernels().size()));
-      firstprivate.paperRank = 0;
-      set.push_back(firstprivate);
-      Candidate keepMapped;
-      keepMapped.kind = CandidateKind::MapAtRegion;
-      keepMapped.bytesPerOccurrence = var->type()->sizeInBytes();
-      keepMapped.occurrences = regionEntryCount_;
-      keepMapped.paperRank = 1;
-      set.push_back(keepMapped);
-      if (set[costModel().choose(set)].kind != CandidateKind::Firstprivate)
-        continue;
-      firstprivateVars.push_back(var);
+      if (facts.referencedInKernel && facts.deviceRead && !facts.deviceWrite &&
+          !isAggregateLike(var))
+        firstprivateVars.push_back(var);
     }
     // Declaration order, for the same stability reason as the map clauses.
     std::sort(firstprivateVars.begin(), firstprivateVars.end(),
@@ -769,44 +723,15 @@ void MappingPlanner::handleDeviceRead(const AccessEvent &event,
   if (state.devValid)
     return;
   if (!state.hostWroteSinceEntry) {
-    // The value at region entry is still current. Candidates: a region-entry
-    // map(to:) — one transfer for the whole region — or an `update to` at
-    // the consuming kernel, re-copying on every launch.
-    // Occurrence features carry the region's provable entry count: a map
-    // re-pays its present-table transition copies every entry (kernel-entry
-    // multiplicity), an update additionally re-executes per loop trip.
-    const std::uint64_t bytes = sectionFor(var).bytes;
-    std::vector<Candidate> set;
-    Candidate mapEntry;
-    mapEntry.kind = CandidateKind::MapAtRegion;
-    mapEntry.bytesPerOccurrence = bytes;
-    mapEntry.occurrences = regionEntryCount_;
-    mapEntry.paperRank = 0;
-    set.push_back(mapEntry);
-    Candidate updateAtKernel;
-    updateAtKernel.kind = CandidateKind::UpdateAtAccess;
-    updateAtKernel.bytesPerOccurrence = bytes;
-    updateAtKernel.occurrences =
-        saturatingMul(regionEntryCount_, tripCountEstimate(ctx.loops));
-    updateAtKernel.paperRank = 1;
-    set.push_back(updateAtKernel);
-    if (set[costModel().choose(set)].kind == CandidateKind::MapAtRegion) {
-      facts.needsTo = true;
-      state.devValid = true;
-      return;
-    }
-    const Stmt *kernelAnchor =
-        event.kernel != nullptr ? static_cast<const Stmt *>(event.kernel)
-                                : event.stmt;
-    addUpdate(var, UpdateDirection::To, kernelAnchor,
-              UpdatePlacement::Before, false, region);
+    // The value at region entry is still current: one region-entry
+    // map(to:) covers every consuming kernel.
+    facts.needsTo = true;
     state.devValid = true;
     return;
   }
   // Host produced a newer value inside the region: insert `update to` after
   // the producing write, hoisted out of index loops (to-direction variant of
-  // Algorithm 1) but never above the consuming kernel boundary. The hoisted
-  // and at-access positions are both valid; the cost model arbitrates.
+  // Algorithm 1) but never above the consuming kernel boundary.
   const Stmt *anchor =
       state.lastHostWriteStmt != nullptr ? state.lastHostWriteStmt
                                          : event.stmt;
@@ -814,26 +739,6 @@ void MappingPlanner::handleDeviceRead(const AccessEvent &event,
   const Stmt *pos = hoistAfterHostWrite(state, event.kernel, hoisted);
   if (pos == nullptr)
     pos = anchor;
-  if (hoisted) {
-    const std::uint64_t bytes = sectionFor(var).bytes;
-    std::vector<Candidate> set;
-    Candidate hoistedUpdate;
-    hoistedUpdate.kind = CandidateKind::UpdateHoisted;
-    hoistedUpdate.bytesPerOccurrence = bytes;
-    hoistedUpdate.occurrences = 1;
-    hoistedUpdate.paperRank = 0;
-    set.push_back(hoistedUpdate);
-    Candidate atWrite;
-    atWrite.kind = CandidateKind::UpdateAtAccess;
-    atWrite.bytesPerOccurrence = bytes;
-    atWrite.occurrences = tripCountEstimate(loopsBetween(pos, anchor));
-    atWrite.paperRank = 1;
-    set.push_back(atWrite);
-    if (set[costModel().choose(set)].kind == CandidateKind::UpdateAtAccess) {
-      pos = anchor;
-      hoisted = false;
-    }
-  }
   UpdatePlacement placement = UpdatePlacement::After;
   if (pos == anchor && anchor != nullptr &&
       (anchor->kind() == StmtKind::For || anchor->kind() == StmtKind::While ||
@@ -923,30 +828,6 @@ void MappingPlanner::handleHostRead(const AccessEvent &event,
         findUpdateInsertLoc(event.subscript, event.stmt, ctx.loops, locLim);
     hoisted = found != event.stmt;
     pos = found;
-  }
-  if (hoisted) {
-    // Algorithm 1 found a hoist position; the at-access placement stays a
-    // valid (more frequent) alternative for the cost model to weigh.
-    const std::uint64_t bytes = sectionFor(var).bytes;
-    std::vector<Candidate> set;
-    Candidate hoistedUpdate;
-    hoistedUpdate.kind = CandidateKind::UpdateHoisted;
-    hoistedUpdate.bytesPerOccurrence = bytes;
-    hoistedUpdate.occurrences = 1;
-    hoistedUpdate.deviceToHost = true;
-    hoistedUpdate.paperRank = 0;
-    set.push_back(hoistedUpdate);
-    Candidate atAccess;
-    atAccess.kind = CandidateKind::UpdateAtAccess;
-    atAccess.bytesPerOccurrence = bytes;
-    atAccess.occurrences = tripCountEstimate(loopsBetween(pos, event.stmt));
-    atAccess.deviceToHost = true;
-    atAccess.paperRank = 1;
-    set.push_back(atAccess);
-    if (set[costModel().choose(set)].kind == CandidateKind::UpdateAtAccess) {
-      pos = event.stmt;
-      hoisted = false;
-    }
   }
   UpdatePlacement placement = UpdatePlacement::Before;
   const bool anchorIsLoopCond =
@@ -1094,29 +975,19 @@ ExtentInfo MappingPlanner::effectiveExtent(VarDecl *var) const {
 
 MappingPlanner::SectionInfo MappingPlanner::sectionFor(VarDecl *var) const {
   auto it = sectionMemo_.find(var);
-  if (it == sectionMemo_.end()) {
-    SectionMemo memo;
-    memo.info = computeSectionFor(var, memo.warned);
-    it = sectionMemo_.emplace(var, std::move(memo)).first;
-    return it->second.info;
-  }
-  if (it->second.warned) {
-    diags_.warning(var->range().begin,
-                   "cannot determine extent of pointer '" + var->name() +
-                       "'; mapping requires a known allocation size");
-  }
-  return it->second.info;
+  if (it == sectionMemo_.end())
+    it = sectionMemo_.emplace(var, computeSectionFor(var)).first;
+  return it->second;
 }
 
 MappingPlanner::SectionInfo
-MappingPlanner::computeSectionFor(VarDecl *var, bool &warned) const {
+MappingPlanner::computeSectionFor(VarDecl *var) const {
   const ExtentInfo extent = effectiveExtent(var);
   const Type *base = scalarBaseType(var->type());
   const std::uint64_t elemSize = base != nullptr ? base->sizeInBytes() : 1;
 
   if (var->type()->isPointer()) {
     if (!extent.known()) {
-      warned = true;
       diags_.warning(var->range().begin,
                      "cannot determine extent of pointer '" + var->name() +
                          "'; mapping requires a known allocation size");
@@ -1204,42 +1075,6 @@ MappingPlanner::computeSectionFor(VarDecl *var, bool &warned) const {
 std::optional<std::uint64_t>
 MappingPlanner::symbolicExtentElems(const ExtentInfo &extent) const {
   return extents_.symbolicExtentElems(extent);
-}
-
-const CostModel &MappingPlanner::costModel() const {
-  return options_.costModel != nullptr ? *options_.costModel
-                                       : defaultCostModel_;
-}
-
-std::vector<const Stmt *>
-MappingPlanner::loopsBetween(const Stmt *outer, const Stmt *inner) const {
-  std::vector<const Stmt *> result;
-  const auto *loops = cfg_->enclosingLoops(inner);
-  if (loops == nullptr)
-    return result;
-  for (const Stmt *loop : *loops)
-    if (outer == nullptr || loop == outer || contains(outer, loop))
-      result.push_back(loop);
-  return result;
-}
-
-std::uint64_t MappingPlanner::tripCountEstimate(
-    const std::vector<const Stmt *> &loops) const {
-  std::uint64_t product = 1;
-  for (const Stmt *loop : loops) {
-    std::uint64_t trips = kUnknownTripCount;
-    if (const auto *forStmt = dynamic_cast<const ForStmt *>(loop)) {
-      const LoopBounds bounds = analyzeForLoop(forStmt);
-      if (bounds.valid && bounds.upperConst && bounds.lowerConst &&
-          *bounds.upperConst > *bounds.lowerConst)
-        trips = static_cast<std::uint64_t>(*bounds.upperConst -
-                                           *bounds.lowerConst);
-    }
-    product *= std::min<std::uint64_t>(trips, 1u << 20);
-    if (product > (std::uint64_t{1} << 40))
-      return std::uint64_t{1} << 40; // saturate: "executes a lot"
-  }
-  return product;
 }
 
 const Stmt *MappingPlanner::stmtParent(const Stmt *stmt) const {

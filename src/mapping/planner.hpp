@@ -7,13 +7,12 @@
 //      (emitting the paper's "move this declaration" error otherwise),
 //   3. runs a forward validity walk over the AST-CFG region tracking which
 //      memory space holds each variable's current value. Every host<->device
-//      RAW dependency is resolved by *candidate enumeration*: the planner
-//      lists the valid constructs (region map(to/from/tofrom/alloc), a
-//      hoisted `target update` per Algorithm 1, an update at the access,
-//      `firstprivate` for read-only scalars) with estimated traffic
-//      features, and the configured CostModel picks one. The default
-//      PaperGreedyCostModel reproduces the paper's fixed rule exactly;
-//      SimCostModel makes the choice cost-driven (mapping/cost.hpp).
+//      RAW dependency is resolved by the paper's fixed placement rule: a
+//      value current at region entry is mapped `to` on the region, a newer
+//      value gets a `target update` hoisted out of indexing loops per
+//      Algorithm 1, and read-only scalars become `firstprivate`. The
+//      PlannerOptions ablation switches turn the firstprivate, hoisting and
+//      region-extent steps off.
 //   4. infers array sections from bounds analysis / malloc extents.
 #pragma once
 
@@ -23,7 +22,6 @@
 #include "analysis/liveness.hpp"
 #include "analysis/summary.hpp"
 #include "cfg/cfg.hpp"
-#include "mapping/cost.hpp"
 #include "mapping/plan.hpp"
 #include "support/diagnostics.hpp"
 
@@ -36,22 +34,17 @@ namespace ompdart {
 
 struct PlannerOptions {
   /// Use firstprivate for read-only scalars (paper §IV-D); disabling this is
-  /// the `firstprivate` ablation (removes the Firstprivate candidate).
+  /// the `firstprivate` ablation.
   bool useFirstprivate = true;
   /// Hoist update directives per Algorithm 1; disabling places updates at
-  /// the innermost access position (the paper's 14x motivating comparison;
-  /// removes the UpdateHoisted candidate).
+  /// the innermost access position (the paper's 14x motivating comparison).
   bool hoistUpdates = true;
   /// Extend the data region outside loops capturing kernels; disabling maps
-  /// per kernel (region == each kernel) for the region-extent ablation
-  /// (removes the RegionOverLoops candidate).
+  /// per kernel (region == each kernel) for the region-extent ablation.
   bool extendRegionOverLoops = true;
   /// Run the interprocedural fixed point; disabling treats every call
   /// pessimistically (interproc ablation).
   bool interprocedural = true;
-  /// Scores enumerated candidates; null uses the built-in
-  /// PaperGreedyCostModel (the paper's behavior, byte-for-byte).
-  const CostModel *costModel = nullptr;
   /// Cross-TU facts from the Project link (whole-program execution counts,
   /// external call-site constants/extents). Null for single-TU runs — the
   /// planner then derives everything from the unit's own call sites.
@@ -125,18 +118,6 @@ private:
   void addUpdate(VarDecl *var, UpdateDirection direction, const Stmt *anchor,
                  UpdatePlacement placement, bool hoisted, RegionPlan &region);
 
-  /// The configured cost model (PaperGreedy fallback when options carry
-  /// none).
-  [[nodiscard]] const CostModel &costModel() const;
-
-  /// Product of the estimated trip counts of `loops` (kUnknownTripCount
-  /// per unanalyzable loop), saturating well below overflow. Feeds
-  /// candidate *scoring* (assume repetition is expensive); the transfer
-  /// predictor's provable execution counts come from the guarded-aware
-  /// ancestor walks instead (updateExecutionsAt, entry counts).
-  [[nodiscard]] std::uint64_t
-  tripCountEstimate(const std::vector<const Stmt *> &loops) const;
-
   /// Interprocedural execution-count estimate per function: entry functions
   /// execute once; a callee executes caller-executions times the constant
   /// trips of loops enclosing each call site (paper-faithful present-table
@@ -157,12 +138,6 @@ private:
   [[nodiscard]] std::vector<const Stmt *>
   parentChainOf(const Stmt *stmt) const;
 
-  /// Loops enclosing `inner` that sit at or inside `outer` — the loop
-  /// levels an update re-executes in when left at the access instead of
-  /// hoisted to `outer`.
-  [[nodiscard]] std::vector<const Stmt *>
-  loopsBetween(const Stmt *outer, const Stmt *inner) const;
-
   /// To-direction Algorithm 1: position after the last host write, hoisted
   /// out of indexing loops but never past `consumerKernel` (null = region
   /// end). Returns null when there is no recorded host write.
@@ -178,15 +153,12 @@ private:
     std::uint64_t bytes = 0;
     ir::Extent extent;
   };
-  /// Memoized per variable for the current function (candidate enumeration
-  /// queries it several times per event); the unknown-pointer-extent
-  /// warning is replayed on every call, exactly as the uncached computation
-  /// emitted it.
+  /// Memoized per variable for the current function, so the
+  /// unknown-pointer-extent warning is emitted once per pointer per
+  /// function however many maps and updates query the section.
   [[nodiscard]] SectionInfo sectionFor(VarDecl *var) const;
-  /// Uncached computation; sets `warned` when it emitted the
-  /// unknown-pointer-extent warning (so cache hits can replay it).
-  [[nodiscard]] SectionInfo computeSectionFor(VarDecl *var,
-                                              bool &warned) const;
+  /// Uncached computation (emits the unknown-pointer-extent warning).
+  [[nodiscard]] SectionInfo computeSectionFor(VarDecl *var) const;
 
   /// Declared/malloc extent, falling back to inference from the loop bounds
   /// of device accesses when the allocation size is invisible. Delegates to
@@ -209,7 +181,6 @@ private:
   const InterproceduralResult &interproc_;
   DiagnosticEngine &diags_;
   PlannerOptions options_;
-  PaperGreedyCostModel defaultCostModel_;
   MallocExtents mallocExtents_;
   /// Shared mapped-extent resolution (declared after mallocExtents_: the
   /// resolver holds a reference to it).
@@ -224,14 +195,8 @@ private:
   const AstCfg *cfg_ = nullptr;
   std::map<VarDecl *, VarFacts> facts_;
   std::set<std::tuple<VarDecl *, UpdateDirection, const Stmt *>> updateKeys_;
-  /// sectionFor memo for the current function; `warned` records whether the
-  /// original computation emitted the unknown-extent warning, so cache hits
-  /// reproduce the diagnostic stream of the uncached planner.
-  struct SectionMemo {
-    SectionInfo info;
-    bool warned = false;
-  };
-  mutable std::unordered_map<VarDecl *, SectionMemo> sectionMemo_;
+  /// sectionFor memo for the current function.
+  mutable std::unordered_map<VarDecl *, SectionInfo> sectionMemo_;
   std::size_t regionBeginOffset_ = 0;
   std::size_t regionEndOffset_ = 0;
   /// Provable entries of the current region (planFunction).

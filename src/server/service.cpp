@@ -278,9 +278,7 @@ bool PlanService::requestConfig(const json::Value &request,
     return false;
   }
   for (const auto &[key, value] : overrides->members()) {
-    if (key == "costModel") {
-      config->costModel = value.asString();
-    } else if (key == "firstprivate") {
+    if (key == "firstprivate") {
       config->planner.useFirstprivate = value.asBool(true);
     } else if (key == "hoistUpdates") {
       config->planner.hoistUpdates = value.asBool(true);

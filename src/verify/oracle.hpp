@@ -37,8 +37,8 @@ struct GeneratedProgram;
 namespace ompdart::verify {
 
 struct OracleOptions {
-  /// Pipeline configuration for the planning Session (cost model, ablation
-  /// switches, shared plan cache). `stopAfter`/`includeOutputInReport` are
+  /// Pipeline configuration for the planning Session (ablation switches,
+  /// shared plan cache). `stopAfter`/`includeOutputInReport` are
   /// managed by the oracle.
   PipelineConfig pipeline;
   interp::InterpOptions interp;

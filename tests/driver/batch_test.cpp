@@ -2,7 +2,6 @@
 // sequential single-Session runs, in input order, with consistent
 // aggregate statistics and deterministic diagnostics.
 #include "driver/batch.hpp"
-#include "driver/tool.hpp"
 #include "suite/benchmarks.hpp"
 
 #include <gtest/gtest.h>
@@ -56,15 +55,16 @@ TEST(BatchDriverTest, ConcurrentMatchesSequentialOnEightSuitePrograms) {
   }
 }
 
-TEST(BatchDriverTest, MatchesTheCompatShim) {
+TEST(BatchDriverTest, MatchesOneShotSessions) {
   const std::vector<BatchJob> jobs = suiteJobs(8);
   const BatchResult batch = BatchDriver().run(jobs);
   for (const BatchJob &job : jobs) {
     const BatchItem *item = batch.find(job.name);
     ASSERT_NE(item, nullptr) << job.name;
-    const ToolResult shim = runOmpDart(job.source, {}, job.fileName);
-    EXPECT_EQ(item->output, shim.output) << job.name;
-    EXPECT_EQ(item->success, shim.success) << job.name;
+    Session session(job.fileName, job.source);
+    const bool success = session.run();
+    EXPECT_EQ(item->output, session.rewrite()) << job.name;
+    EXPECT_EQ(item->success, success) << job.name;
   }
 }
 

@@ -116,16 +116,15 @@ TEST(FuzzDriverTest, TimeBoxSkipsRemainingPrograms) {
 }
 
 TEST(FuzzDriverTest, ShrinksInjectedOracleFailure) {
-  // Force a failure through the oracle by breaking the pipeline config:
-  // an unknown cost model fails every session, which is reported as a
+  // Force a failure through the oracle by starving the interpreter: an op
+  // budget of one aborts every baseline run, which is reported as a
   // pipeline failure (not shrunken — shrinking needs a *runnable* failing
   // program, and the predicate rejects pipeline-dead candidates).
-  BatchDriver::Options options;
-  options.config.costModel = "no-such-model";
-  BatchDriver driver(options);
+  BatchDriver driver;
   BatchDriver::FuzzOptions fuzz;
   fuzz.baseSeed = 1;
   fuzz.count = 2;
+  fuzz.interp.maxOps = 1;
   fuzz.shrinkFailures = true;
   const FuzzResult result = driver.runFuzz(fuzz);
   EXPECT_EQ(result.stats.failed, 2u);

@@ -1,9 +1,7 @@
 // Tests for the staged Session/PipelineConfig API: lazy stage computation,
 // artifact caching (a second access does no re-analysis), --stop-after
-// semantics, report construction, and compat-shim equivalence with the
-// legacy one-call interface.
+// semantics and report construction.
 #include "driver/pipeline.hpp"
-#include "driver/tool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -212,52 +210,6 @@ int main() {
   Session fixedPoint("ip.c", source);
   EXPECT_TRUE(fixedPoint.run());
   EXPECT_GE(fixedPoint.interproc().passes, 1u);
-}
-
-// --- compat shim ---
-
-TEST(CompatShimTest, ByteIdenticalToSessionRewriteOnQuickstart) {
-  const ToolResult viaShim = runOmpDart(kQuickstartSource);
-  Session session("<input>", kQuickstartSource);
-  ASSERT_TRUE(session.run());
-  ASSERT_TRUE(viaShim.success);
-  EXPECT_EQ(viaShim.output, session.rewrite());
-  EXPECT_EQ(viaShim.metrics, session.metrics());
-  EXPECT_EQ(viaShim.plan.regions.size(), session.plan().regions.size());
-  EXPECT_GT(viaShim.toolSeconds, 0.0);
-}
-
-TEST(CompatShimTest, FileNameThreadsThroughTheOneCallHelper) {
-  // The historical asymmetry: runOmpDart(source) silently dropped the file
-  // name. It now defaults to "<input>" and accepts an explicit name that
-  // must produce output identical to the two-step interface.
-  const ToolResult named = runOmpDart(kQuickstartSource, {}, "saxpy.c");
-  const OmpDartTool tool{ToolOptions{}};
-  const ToolResult viaTool = tool.run("saxpy.c", kQuickstartSource);
-  EXPECT_EQ(named.output, viaTool.output);
-  EXPECT_EQ(named.success, viaTool.success);
-}
-
-TEST(CompatShimTest, OptionsMapOntoPipelineConfig) {
-  ToolOptions options;
-  options.planner.useFirstprivate = false;
-  options.rejectExistingDataDirectives = false;
-  const PipelineConfig config = options.pipelineConfig();
-  EXPECT_FALSE(config.planner.useFirstprivate);
-  EXPECT_FALSE(config.rejectExistingDataDirectives);
-
-  const ToolResult viaShim = runOmpDart(kQuickstartSource, options);
-  Session session("<input>", kQuickstartSource, config);
-  session.run();
-  EXPECT_EQ(viaShim.output, session.rewrite());
-  EXPECT_EQ(viaShim.output.find("firstprivate"), std::string::npos);
-}
-
-TEST(CompatShimTest, FailedRunReturnsOriginalSourceAndDiagnostics) {
-  const ToolResult result = runOmpDart(kBrokenSource);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.output, kBrokenSource);
-  EXPECT_TRUE(result.hasErrors());
 }
 
 } // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+
 namespace ompdart {
 namespace {
 
@@ -23,6 +26,24 @@ struct DirectiveCase {
   OmpDirectiveKind kind;
   bool isKernel;
 };
+
+// Prints the pragma in CamelCase ("target teams loop" -> TargetTeamsLoop),
+// which names each case under ctest. Without it gtest would print the raw
+// bytes of the struct, `pragma`'s address included, and the names would
+// change from build to build.
+void PrintTo(const DirectiveCase &testCase, std::ostream *os) {
+  bool wordStart = true;
+  for (const char *c = testCase.pragma; *c != '\0'; ++c) {
+    if (*c == ' ') {
+      wordStart = true;
+      continue;
+    }
+    *os << (wordStart ? static_cast<char>(std::toupper(
+                            static_cast<unsigned char>(*c)))
+                      : *c);
+    wordStart = false;
+  }
+}
 
 class TableOneTest : public ::testing::TestWithParam<DirectiveCase> {};
 

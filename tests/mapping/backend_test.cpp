@@ -1,11 +1,10 @@
 // PlanConsumer backend tests: required-input validation, JSON/source
 // backends against the Session artifacts, the ApplyToInterpBackend
 // equivalence with the rewrite→reparse path (including a serialized-IR
-// round-trip in the middle), and the cost-model registry/scoring.
+// round-trip in the middle).
 #include "driver/pipeline.hpp"
 #include "interp/interp.hpp"
 #include "mapping/backend.hpp"
-#include "mapping/cost.hpp"
 
 #include <gtest/gtest.h>
 
@@ -110,72 +109,6 @@ TEST(PlanConsumerTest, ApplyToInterpMatchesRewriteReparsePath) {
             viaRewrite.ledger.calls(sim::TransferDir::DtoH));
   EXPECT_EQ(viaOverlay.ledger.kernelLaunches(),
             viaRewrite.ledger.kernelLaunches());
-}
-
-// --- cost models ---
-
-TEST(CostModelTest, RegistryKnowsBothModels) {
-  EXPECT_NE(makeCostModel("paper-greedy"), nullptr);
-  EXPECT_NE(makeCostModel("sim"), nullptr);
-  EXPECT_EQ(makeCostModel("oracle"), nullptr);
-  EXPECT_EQ(costModelNames().size(), 2u);
-}
-
-TEST(CostModelTest, PaperGreedyFollowsPaperRank) {
-  PaperGreedyCostModel model;
-  Candidate expensive;
-  expensive.kind = CandidateKind::MapAtRegion;
-  expensive.bytesPerOccurrence = 1u << 30;
-  expensive.paperRank = 0;
-  Candidate cheap;
-  cheap.kind = CandidateKind::UpdateAtAccess;
-  cheap.bytesPerOccurrence = 1;
-  cheap.paperRank = 1;
-  // The paper's rule ignores byte estimates entirely.
-  EXPECT_EQ(model.choose({expensive, cheap}), 0u);
-}
-
-TEST(CostModelTest, SimModelPrefersFewerTransferSeconds) {
-  SimCostModel model;
-  Candidate once;
-  once.kind = CandidateKind::MapAtRegion;
-  once.bytesPerOccurrence = 1024;
-  once.occurrences = 1;
-  once.paperRank = 1; // rank deliberately contradicts the cost
-  Candidate everyIteration;
-  everyIteration.kind = CandidateKind::UpdateAtAccess;
-  everyIteration.bytesPerOccurrence = 1024;
-  everyIteration.occurrences = 1000;
-  everyIteration.paperRank = 0;
-  EXPECT_EQ(model.choose({everyIteration, once}), 1u);
-  // firstprivate is free under the sim model.
-  Candidate firstprivate;
-  firstprivate.kind = CandidateKind::Firstprivate;
-  firstprivate.transfersPerOccurrence = 0;
-  EXPECT_EQ(model.score(firstprivate), 0.0);
-  EXPECT_GT(model.score(once), 0.0);
-}
-
-TEST(CostModelTest, UnknownModelNameFailsThePlanStageWithDiagnostic) {
-  PipelineConfig config;
-  config.costModel = "oracle";
-  Session session("prog.c", kProgram, config);
-  EXPECT_FALSE(session.run());
-  EXPECT_TRUE(session.diagnostics().hasErrors());
-}
-
-TEST(CostModelTest, SimModelProducesAValidPlanOnTheProgram) {
-  PipelineConfig config;
-  config.costModel = "sim";
-  Session session("prog.c", kProgram, config);
-  ASSERT_TRUE(session.run());
-  // The cost-driven plan must still execute correctly.
-  const interp::RunResult baseline = interp::runProgram(kProgram);
-  const interp::RunResult optimized = interp::runProgram(session.rewrite());
-  ASSERT_TRUE(baseline.ok);
-  ASSERT_TRUE(optimized.ok) << optimized.error;
-  EXPECT_EQ(baseline.output, optimized.output);
-  EXPECT_LE(optimized.ledger.totalBytes(), baseline.ledger.totalBytes());
 }
 
 } // namespace

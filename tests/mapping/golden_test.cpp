@@ -1,8 +1,7 @@
 // Shim-equivalence golden tests: the transformed source for every suite
 // benchmark must stay byte-identical to the pre-refactor rewriter output
-// (captured in tests/mapping/golden/*.c). This pins the candidate/cost
-// planner (default PaperGreedyCostModel) and the IR-based rewrite backend
-// to the original behavior exactly.
+// (captured in tests/mapping/golden/*.c). This pins the planner and the
+// IR-based rewrite backend to the original behavior exactly.
 #include "driver/pipeline.hpp"
 #include "suite/benchmarks.hpp"
 
@@ -36,18 +35,6 @@ TEST(GoldenOutputTest, SuiteBenchmarksAreByteIdenticalToPreRefactorOutput) {
     Session session(def.name + ".c", def.unoptimized);
     ASSERT_TRUE(session.run()) << def.name;
     EXPECT_EQ(session.rewrite(), golden) << def.name;
-  }
-}
-
-TEST(GoldenOutputTest, ExplicitPaperGreedyNameMatchesDefault) {
-  PipelineConfig named;
-  named.costModel = "paper-greedy";
-  for (const suite::BenchmarkDef &def : suite::allBenchmarks()) {
-    Session byDefault(def.name + ".c", def.unoptimized);
-    Session byName(def.name + ".c", def.unoptimized, named);
-    ASSERT_TRUE(byDefault.run()) << def.name;
-    ASSERT_TRUE(byName.run()) << def.name;
-    EXPECT_EQ(byDefault.rewrite(), byName.rewrite()) << def.name;
   }
 }
 

@@ -339,6 +339,33 @@ void f(double *a, int n) {
   ASSERT_NE(region, nullptr);
 }
 
+TEST(PlannerTest, UnknownPointerExtentWarnsOncePerPointer) {
+  // `p` is indexed by a runtime `k` in two kernels and a host statement
+  // inside a loop, so its map and both updates query its section.
+  PlanFixture fx(R"(
+void f(double *p, int k, int n) {
+  for (int t = 0; t < n; ++t) {
+    #pragma omp target
+    {
+      p[k] = t;
+    }
+    p[k] += 1.0;
+    #pragma omp target
+    {
+      p[k] *= 2.0;
+    }
+  }
+}
+)");
+  ASSERT_NE(fx.region(), nullptr);
+  unsigned warnings = 0;
+  for (const Diagnostic &diag : fx.planDiags.diagnostics())
+    if (diag.message.find("cannot determine extent of pointer 'p'") !=
+        std::string::npos)
+      ++warnings;
+  EXPECT_EQ(warnings, 1u);
+}
+
 TEST(PlannerTest, GuoFilteringShrinksSection) {
   PlanFixture fx(R"(
 void f() {

@@ -192,14 +192,16 @@ TEST(PlanServiceTest, PlanMatchesOneShotSessionByteForByte) {
 
 TEST(PlanServiceTest, UnknownConfigOverrideKeyIsRejected) {
   PlanService service(ServiceOptions{});
-  json::Value request = planRequest("kernel.c", kKernelSource, 1);
-  json::Value overrides = json::Value::object();
-  overrides.set("notAKnob", json::Value(true));
-  request.set("config", overrides);
-  const json::Value response = service.handle(request);
-  EXPECT_FALSE(response.boolOr("ok", true));
-  EXPECT_NE(response.stringOr("error", "").find("notAKnob"),
-            std::string::npos);
+  for (const char *key : {"notAKnob", "costModel"}) {
+    json::Value request = planRequest("kernel.c", kKernelSource, 1);
+    json::Value overrides = json::Value::object();
+    overrides.set(key, json::Value(true));
+    request.set("config", overrides);
+    const json::Value response = service.handle(request);
+    EXPECT_FALSE(response.boolOr("ok", true)) << key;
+    EXPECT_NE(response.stringOr("error", "").find(key), std::string::npos)
+        << key;
+  }
 }
 
 TEST(PlanServiceTest, StatsExposesAtomicCacheCountersMidTraffic) {
