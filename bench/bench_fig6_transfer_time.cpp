@@ -6,38 +6,12 @@
 #include "exp/experiment.hpp"
 #include "support/json.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-
-namespace {
-
-double secondsOf(const ompdart::exp::ExperimentOptions &options) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto results = ompdart::exp::runAllBenchmarks({}, options);
-  const auto end = std::chrono::steady_clock::now();
-  (void)results;
-  return std::chrono::duration<double>(end - start).count();
-}
-
-} // namespace
 
 int main() {
   const auto results = ompdart::exp::runAllBenchmarks();
   std::printf("%s", ompdart::exp::renderFigure6(results).c_str());
-
-  // Harness execution-path comparison: the plan-overlay backend skips the
-  // rewrite→reparse round-trip the classic path pays per benchmark.
-  ompdart::exp::ExperimentOptions overlayPath;
-  ompdart::exp::ExperimentOptions rewritePath;
-  rewritePath.useInterpBackend = false;
-  const double rewriteSeconds = secondsOf(rewritePath);
-  const double overlaySeconds = secondsOf(overlayPath);
-  std::printf("\nharness path comparison (full suite):\n"
-              "  rewrite+reparse path: %8.3f s\n"
-              "  ApplyToInterpBackend: %8.3f s  (%.2fx)\n",
-              rewriteSeconds, overlaySeconds,
-              overlaySeconds > 0.0 ? rewriteSeconds / overlaySeconds : 0.0);
 
   ompdart::json::Value doc = ompdart::json::Value::object();
   ompdart::json::Value rows = ompdart::json::Value::array();

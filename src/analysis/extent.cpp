@@ -28,21 +28,29 @@ ExtentInfo ExtentResolver::computeEffectiveExtent(VarDecl *var) const {
   ExtentInfo extent = dataExtent(var, mallocExtents_);
   if (extent.known())
     return extent;
-  // Guo-style inference: when the allocation size is invisible (pointer
-  // parameter), derive the accessed extent from the loop bounds of the
-  // device accesses. All accesses must be single-dimension `a[i]` with an
-  // analyzable enclosing loop (or constant index).
+  // Guo-style inference when the allocation size is invisible (pointer
+  // parameter); accesses that defeat it fall back to the call sites.
+  extent = inferFromLoopBounds(var, /*deviceOnly=*/false);
+  if (extent.known())
+    return extent;
+  return callSiteExtent(var);
+}
+
+ExtentInfo ExtentResolver::inferFromLoopBounds(VarDecl *var,
+                                               bool deviceOnly) const {
   std::optional<std::uint64_t> maxConst;
   std::string symbolicSpelling;
   const Expr *symbolicExpr = nullptr;
   for (const AccessEvent &event : accesses_->events) {
     if (event.var != var || !event.isDataAccess())
       continue;
+    if (deviceOnly && !event.onDevice)
+      continue;
     if (event.subscript == nullptr)
-      return callSiteExtent(var); // whole-object access: try call sites
+      return ExtentInfo{}; // whole-object access
     const Expr *base = ignoreParensAndCasts(event.subscript->base());
     if (base == nullptr || base->kind() == ExprKind::ArraySubscript)
-      return callSiteExtent(var);
+      return ExtentInfo{};
     if (const auto constIndex =
             foldIntegerConstant(event.subscript->index());
         constIndex && *constIndex >= 0) {
@@ -81,8 +89,9 @@ ExtentInfo ExtentResolver::computeEffectiveExtent(VarDecl *var) const {
       }
     }
     if (!bounded)
-      return callSiteExtent(var);
+      return ExtentInfo{};
   }
+  ExtentInfo extent;
   if (!symbolicSpelling.empty()) {
     extent.spelling = symbolicSpelling;
     extent.expr = symbolicExpr;
@@ -90,9 +99,7 @@ ExtentInfo ExtentResolver::computeEffectiveExtent(VarDecl *var) const {
     extent.constElems = maxConst;
     extent.spelling = std::to_string(*maxConst);
   }
-  if (extent.known())
-    return extent;
-  return callSiteExtent(var);
+  return extent;
 }
 
 std::pair<const FunctionDecl *, int>

@@ -51,6 +51,15 @@ public:
   /// of the function's accesses when the allocation size is invisible.
   [[nodiscard]] ExtentInfo effectiveExtent(VarDecl *var) const;
 
+  /// The section the function's device accesses span, from their loop
+  /// bounds alone. Mapping this section is enough when `effectiveExtent`
+  /// cannot size the whole object (host accesses defeat inference):
+  /// elements only the host touches never need to move. Unknown when a
+  /// device access defeats inference too.
+  [[nodiscard]] ExtentInfo deviceSectionExtent(VarDecl *var) const {
+    return inferFromLoopBounds(var, /*deviceOnly=*/true);
+  }
+
   /// Extent of a pointer parameter derived from agreeing call-site
   /// arguments (interprocedural propagation).
   [[nodiscard]] ExtentInfo callSiteExtent(VarDecl *var) const;
@@ -74,6 +83,12 @@ public:
 
 private:
   [[nodiscard]] ExtentInfo computeEffectiveExtent(VarDecl *var) const;
+  /// Guo-style inference from the loop bounds of the function's accesses
+  /// (device accesses only when `deviceOnly`); unknown when any considered
+  /// access is not a single-dimension `a[i]` with an analyzable loop (or a
+  /// constant index).
+  [[nodiscard]] ExtentInfo inferFromLoopBounds(VarDecl *var,
+                                               bool deviceOnly) const;
 
   void reportCallSiteDisagreement(const VarDecl *param,
                                   const FunctionDecl *owner,

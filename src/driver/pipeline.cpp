@@ -13,8 +13,11 @@ namespace ompdart {
 
 namespace {
 
-/// Scans for pre-existing data-mapping directives (paper §IV-A: the input
-/// "should not include any instances of target data or target update").
+/// Scans for pre-existing data mappings (paper §IV-A: the input "should
+/// not include any instances of target data or target update"). A `map`
+/// clause on a kernel counts too: the tool's own output carries one when
+/// a region collapsed onto its sole kernel, and planning over it would
+/// append a second clause for the same variables.
 bool containsDataDirectives(const Stmt *stmt) {
   if (stmt == nullptr)
     return false;
@@ -27,6 +30,10 @@ bool containsDataDirectives(const Stmt *stmt) {
     case OmpDirectiveKind::TargetUpdate:
       return true;
     default:
+      if (directive->isOffloadKernel())
+        for (const OmpClause &clause : directive->clauses())
+          if (clause.kind == OmpClauseKind::Map)
+            return true;
       return containsDataDirectives(directive->associated());
     }
   }
@@ -129,7 +136,7 @@ void Session::ensureParse() {
         if (fn->isDefined() && containsDataDirectives(fn->body())) {
           diags_.error(fn->range().begin,
                        "input already contains target data/update "
-                       "directives in '" +
+                       "directives or map clauses in '" +
                            fn->name() + "'; OMPDart expects unmapped input");
         }
       }
@@ -272,8 +279,8 @@ void Session::ensurePlan() {
     PlannerOptions options = config_.planner;
     if (config_.imports != nullptr)
       options.imports = config_.imports;
-    plan_ = planMappings(ast_->unit(), interproc_, diags_, options, &cfgs_);
-    ir_ = ir::liftPlan(plan_, fileName_);
+    ir_ = planMappings(ast_->unit(), interproc_, diags_, options, &cfgs_);
+    ir_.file = fileName_;
     // Table IV counters are a pure function of the fresh plan artifacts.
     // Computing them here — in every cache mode — keeps the plan stage's
     // timing mode-independent and gives the metrics stage and cache
@@ -354,12 +361,12 @@ ComplexityMetrics Session::computeMetrics() const {
   if (!parseOk_)
     return metrics;
 
-  std::set<const VarDecl *> mapped;
-  for (const RegionPlan &region : plan_.regions) {
-    for (const MapSpec &spec : region.maps)
-      mapped.insert(spec.var);
-    for (const FirstprivateInsertion &fp : region.firstprivates)
-      mapped.insert(fp.var);
+  std::set<ir::SymbolId> mapped;
+  for (const ir::Region &region : ir_.regions) {
+    for (const ir::MapItem &map : region.maps)
+      mapped.insert(map.symbol);
+    for (const ir::FirstprivateItem &fp : region.firstprivates)
+      mapped.insert(fp.symbol);
   }
   metrics.mappedVariables = static_cast<unsigned>(mapped.size());
 
@@ -439,11 +446,6 @@ const std::vector<std::unique_ptr<AstCfg>> &Session::cfg() {
 const InterproceduralResult &Session::interproc() {
   ensureInterproc();
   return interproc_;
-}
-
-const MappingPlan &Session::plan() {
-  ensurePlan();
-  return plan_;
 }
 
 const ir::MappingIr &Session::ir() {

@@ -6,7 +6,7 @@
 //   parse()     -> const ASTContext &          front end (+ §IV-A input check)
 //   cfg()       -> per-function AST-CFGs       Fig. 2 hybrid representation
 //   interproc() -> InterproceduralResult       §IV-C fixed point
-//   plan()      -> MappingPlan                 §IV-D/§IV-E decision engine
+//   ir()        -> ir::MappingIr               §IV-D/§IV-E decision engine
 //   rewrite()   -> transformed source          §IV-F
 //   metrics()   -> ComplexityMetrics           Table IV counters
 //   report()    -> Report                      aggregate, JSON-serializable
@@ -26,7 +26,6 @@
 #include "driver/report.hpp"
 #include "frontend/ast.hpp"
 #include "mapping/ir.hpp"
-#include "mapping/plan.hpp"
 #include "mapping/planner.hpp"
 #include "support/diagnostics.hpp"
 #include "support/source_manager.hpp"
@@ -43,7 +42,8 @@ namespace ompdart {
 struct PipelineConfig {
   PlannerOptions planner;
   /// Reject inputs that already contain target data / target update
-  /// directives (paper §IV-A: the expected input has none).
+  /// directives or kernel `map` clauses (paper §IV-A: the expected input
+  /// has none).
   bool rejectExistingDataDirectives = true;
   /// Cap on interprocedural fixed-point passes (forced to 1 when
   /// `planner.interprocedural` is off).
@@ -115,13 +115,10 @@ public:
   const std::vector<std::unique_ptr<AstCfg>> &cfg();
   /// Interprocedural side-effect summaries.
   const InterproceduralResult &interproc();
-  /// The AST-level mapping plan (empty when any earlier stage reported
-  /// errors — and after a plan-cache hit, which re-hydrates only the
-  /// AST-free IR; check `planFromCache()` and consume `ir()` instead).
-  const MappingPlan &plan();
-  /// The plan as a self-contained Mapping IR (lifted alongside `plan()`;
-  /// same stage). Serializable, AST-free, consumable by any PlanConsumer
-  /// backend.
+  /// The mapping plan as a self-contained Mapping IR (the plan stage's
+  /// artifact, planned fresh or re-hydrated from the plan cache; empty
+  /// when an earlier stage reported errors). Serializable, AST-free,
+  /// consumable by any PlanConsumer backend.
   const ir::MappingIr &ir();
   /// Plan-safety findings (empty when the stage was skipped after a
   /// cache hit without `config.check`, or when planning failed).
@@ -153,10 +150,11 @@ public:
   [[nodiscard]] DiagnosticEngine &diagnostics() { return diags_; }
   [[nodiscard]] const DiagnosticEngine &diagnostics() const { return diags_; }
 
-  /// Keeps the AST alive past the Session (compat shim support).
+  /// Keeps the AST alive past the Session, for callers that hold on to
+  /// AST nodes after the Session is gone.
   [[nodiscard]] std::shared_ptr<ASTContext> shareAst() const { return ast_; }
 
-  /// Plan-cache probe outcome (Disabled until `run()`/`plan()` executes
+  /// Plan-cache probe outcome (Disabled until `run()`/`ir()` executes
   /// with a cache configured).
   [[nodiscard]] PlanCacheStatus planCacheStatus() const {
     return cacheStatus_;
@@ -233,7 +231,6 @@ private:
   bool parseOk_ = false;
   std::vector<std::unique_ptr<AstCfg>> cfgs_;
   InterproceduralResult interproc_;
-  MappingPlan plan_;
   ir::MappingIr ir_;
   /// Findings of the check stage; empty before it runs (and when it was
   /// skipped after a cache hit).

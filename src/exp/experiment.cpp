@@ -30,15 +30,8 @@ VariantResult fromRun(const std::string &name, const interp::RunResult &run,
   return result;
 }
 
-VariantResult measureVariant(const std::string &name,
-                             const std::string &source,
-                             const sim::CostModel &model) {
-  return fromRun(name, interp::runProgram(source), model);
-}
-
-/// The OMPDart variant without the rewrite→reparse round-trip: the
-/// session's Mapping IR is applied to its already-parsed unit as an
-/// execution overlay.
+/// The OMPDart variant: the session's Mapping IR is applied to its
+/// already-parsed unit as an execution overlay.
 VariantResult measureViaInterpBackend(Session &session,
                                       const sim::CostModel &model) {
   ApplyToInterpBackend backend;
@@ -66,6 +59,12 @@ std::string formatRow(const char *label, const VariantResult &variant) {
 }
 
 } // namespace
+
+VariantResult measureVariant(const std::string &name,
+                             const std::string &source,
+                             const sim::CostModel &model) {
+  return fromRun(name, interp::runProgram(source), model);
+}
 
 std::string formatBytes(std::uint64_t bytes) {
   char buffer[64];
@@ -135,8 +134,7 @@ std::uint64_t predictedTransferBytes(const ir::MappingIr &ir) {
 }
 
 BenchmarkComparison runBenchmark(const suite::BenchmarkDef &def,
-                                 const sim::CostModel &model,
-                                 const ExperimentOptions &options) {
+                                 const sim::CostModel &model) {
   BenchmarkComparison cmp;
   cmp.name = def.name;
   cmp.paper = def.paper;
@@ -159,11 +157,8 @@ BenchmarkComparison runBenchmark(const suite::BenchmarkDef &def,
   cmp.possibleMappings = metrics.possibleMappings;
 
   cmp.unoptimized = measureVariant("unoptimized", def.unoptimized, model);
-  if (toolOk && options.useInterpBackend)
-    cmp.ompdart = measureViaInterpBackend(session, model);
-  else
-    cmp.ompdart = measureVariant(
-        "ompdart", toolOk ? cmp.transformedSource : def.unoptimized, model);
+  cmp.ompdart = toolOk ? measureViaInterpBackend(session, model)
+                       : measureVariant("ompdart", def.unoptimized, model);
   cmp.expert = measureVariant("expert", def.expert, model);
 
   cmp.outputsMatch = cmp.unoptimized.ok && cmp.ompdart.ok && cmp.expert.ok &&
@@ -173,11 +168,10 @@ BenchmarkComparison runBenchmark(const suite::BenchmarkDef &def,
 }
 
 std::vector<BenchmarkComparison>
-runAllBenchmarks(const sim::CostModel &model,
-                 const ExperimentOptions &options) {
+runAllBenchmarks(const sim::CostModel &model) {
   std::vector<BenchmarkComparison> results;
   for (const suite::BenchmarkDef &def : suite::allBenchmarks())
-    results.push_back(runBenchmark(def, model, options));
+    results.push_back(runBenchmark(def, model));
   return results;
 }
 

@@ -5,12 +5,10 @@
 // equality (the paper's correctness criterion), and derives
 // transfer/runtime comparisons from the ledgers and cost model.
 //
-// The OMPDart variant executes through the ApplyToInterpBackend by
-// default: the Mapping IR is applied to the already-parsed unit as an
-// execution overlay, skipping the rewrite→reparse round-trip the harness
-// used to pay per benchmark. `ExperimentOptions::useInterpBackend = false`
-// restores the classic path (and is what the equivalence tests compare
-// against).
+// The OMPDart variant executes through the ApplyToInterpBackend: the
+// Mapping IR is applied to the already-parsed unit as an execution
+// overlay, so no rewritten source is re-parsed. The rewritten text is
+// still returned in `transformedSource` for inspection.
 #pragma once
 
 #include "driver/report.hpp"
@@ -23,13 +21,6 @@
 #include <vector>
 
 namespace ompdart::exp {
-
-/// Harness knobs (variant execution path).
-struct ExperimentOptions {
-  /// Run the OMPDart variant via ApplyToInterpBackend (plan overlay on the
-  /// session's AST) instead of interpreting the rewritten source.
-  bool useInterpBackend = true;
-};
 
 /// Measurements for one benchmark variant.
 struct VariantResult {
@@ -95,15 +86,18 @@ struct BenchmarkComparison {
   }
 };
 
+/// Interprets `source` and measures its run as the variant `name`.
+[[nodiscard]] VariantResult measureVariant(const std::string &name,
+                                           const std::string &source,
+                                           const sim::CostModel &model = {});
+
 /// Runs all three variants of one benchmark.
 [[nodiscard]] BenchmarkComparison
-runBenchmark(const suite::BenchmarkDef &def, const sim::CostModel &model = {},
-             const ExperimentOptions &options = {});
+runBenchmark(const suite::BenchmarkDef &def, const sim::CostModel &model = {});
 
 /// Runs the full nine-benchmark suite.
 [[nodiscard]] std::vector<BenchmarkComparison>
-runAllBenchmarks(const sim::CostModel &model = {},
-                 const ExperimentOptions &options = {});
+runAllBenchmarks(const sim::CostModel &model = {});
 
 /// Static prediction of the transfer bytes one execution of the planned
 /// regions moves: map items count once per direction (tofrom twice), alloc

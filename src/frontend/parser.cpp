@@ -120,6 +120,31 @@ std::optional<BinaryOp> assignmentOpFor(TokenKind kind) {
 
 } // namespace
 
+class Parser::NestingScope {
+public:
+  explicit NestingScope(Parser &parser, unsigned levels = 1)
+      : parser_(parser) {
+    enter(levels);
+  }
+  ~NestingScope() { parser_.depth_ -= levels_; }
+  NestingScope(const NestingScope &) = delete;
+  NestingScope &operator=(const NestingScope &) = delete;
+
+  /// One more level: an operator chain wraps the tree built so far.
+  void deepen() { enter(1); }
+
+private:
+  void enter(unsigned levels) {
+    levels_ += levels;
+    parser_.depth_ += levels;
+    if (parser_.depth_ > kMaxNestingDepth)
+      parser_.abandonTooDeep();
+  }
+
+  Parser &parser_;
+  unsigned levels_ = 0;
+};
+
 Parser::Parser(const SourceManager &sourceManager, ASTContext &context,
                DiagnosticEngine &diags)
     : sourceManager_(sourceManager), context_(context), diags_(diags) {
@@ -157,7 +182,15 @@ bool Parser::expect(TokenKind kind, const char *context) {
 }
 
 void Parser::error(const std::string &message) {
-  diags_.error(current().location, message);
+  if (!tooDeep_)
+    diags_.error(current().location, message);
+}
+
+void Parser::abandonTooDeep() {
+  error("nesting exceeds the maximum depth of " +
+        std::to_string(kMaxNestingDepth));
+  tooDeep_ = true;
+  pos_ = tokens_.size() - 1; // the Eof token: every enclosing parse unwinds
 }
 
 void Parser::skipToRecovery() {
@@ -331,6 +364,7 @@ std::optional<Parser::DeclSpec> Parser::parseDeclSpec() {
       // Inline definition `struct X { ... }`.
       if (check(TokenKind::LBrace)) {
         consume();
+        const NestingScope nesting(*this, kNestedLevels);
         while (!check(TokenKind::RBrace) && !check(TokenKind::Eof)) {
           auto fieldSpec = parseDeclSpec();
           if (!fieldSpec || fieldSpec->type == nullptr) {
@@ -733,6 +767,7 @@ VarDecl *Parser::parseInitDeclarator(const DeclSpec &spec, bool isGlobal) {
 
 Stmt *Parser::parseStmt() {
   const std::size_t beginToken = pos_;
+  const NestingScope nesting(*this, kNestedLevels);
   switch (current().kind) {
   case TokenKind::LBrace:
     return parseCompound();
@@ -1252,7 +1287,9 @@ std::optional<OmpObject> Parser::parseOmpObject() {
 
 Expr *Parser::parseExpr() {
   Expr *expr = parseAssignment();
+  NestingScope chain(*this, 0);
   while (check(TokenKind::Comma)) {
+    chain.deepen();
     // Don't consume commas that belong to enclosing argument lists; the
     // grammar only reaches here inside parens/for-headers, where comma is
     // the sequencing operator.
@@ -1272,6 +1309,7 @@ Expr *Parser::parseAssignment() {
   if (!op)
     return lhs;
   consume();
+  const NestingScope nesting(*this);
   Expr *rhs = parseAssignment(); // right associative
   auto *expr = context_.createExpr<BinaryExpr>(*op, lhs, rhs, lhs->type());
   expr->setRange(SourceRange(lhs->range().begin, rhs->range().end));
@@ -1282,6 +1320,7 @@ Expr *Parser::parseConditional() {
   Expr *cond = parseBinary(1);
   if (!accept(TokenKind::Question))
     return cond;
+  const NestingScope nesting(*this);
   Expr *trueExpr = parseAssignment();
   expect(TokenKind::Colon, "in conditional expression");
   Expr *falseExpr = parseConditional();
@@ -1294,12 +1333,14 @@ Expr *Parser::parseConditional() {
 
 Expr *Parser::parseBinary(int minPrecedence) {
   Expr *lhs = parseUnary();
+  NestingScope chain(*this, 0);
   while (true) {
     const int precedence = binaryPrecedence(current().kind);
     if (precedence < minPrecedence)
       return lhs;
     const TokenKind opToken = current().kind;
     consume();
+    chain.deepen();
     Expr *rhs = parseBinary(precedence + 1);
     const BinaryOp op = binaryOpFor(opToken);
     const Type *type = nullptr;
@@ -1326,6 +1367,7 @@ Expr *Parser::parseBinary(int minPrecedence) {
 
 Expr *Parser::parseUnary() {
   const std::size_t beginToken = pos_;
+  const NestingScope nesting(*this, kNestedLevels);
   switch (current().kind) {
   case TokenKind::Plus:
   case TokenKind::Minus:
@@ -1454,6 +1496,7 @@ Expr *Parser::parseCastOrParen() {
 }
 
 Expr *Parser::parsePostfix(Expr *base) {
+  NestingScope chain(*this, 0);
   while (true) {
     const std::size_t beginOffset = base->range().begin.offset;
     switch (current().kind) {
@@ -1475,6 +1518,7 @@ Expr *Parser::parsePostfix(Expr *base) {
           SourceRange(base->range().begin,
                       tokens_[pos_ == 0 ? 0 : pos_ - 1].range().end));
       base = expr;
+      chain.deepen();
       continue;
     }
     case TokenKind::LParen: {
@@ -1509,6 +1553,7 @@ Expr *Parser::parsePostfix(Expr *base) {
           SourceRange(base->range().begin,
                       tokens_[pos_ == 0 ? 0 : pos_ - 1].range().end));
       base = expr;
+      chain.deepen();
       continue;
     }
     case TokenKind::Dot:
@@ -1540,6 +1585,7 @@ Expr *Parser::parsePostfix(Expr *base) {
           SourceRange(base->range().begin,
                       tokens_[pos_ == 0 ? 0 : pos_ - 1].range().end));
       base = expr;
+      chain.deepen();
       continue;
     }
     case TokenKind::PlusPlus:
@@ -1553,6 +1599,7 @@ Expr *Parser::parsePostfix(Expr *base) {
           SourceRange(base->range().begin,
                       tokens_[pos_ == 0 ? 0 : pos_ - 1].range().end));
       base = expr;
+      chain.deepen();
       continue;
     }
     default:

@@ -44,6 +44,25 @@ private:
   void error(const std::string &message);
   void skipToRecovery();
 
+  // --- nesting depth ---
+  /// Nesting budget of one parse, in levels. Each operator of a chain
+  /// (binary, comma, assignment, conditional, postfix) wraps the tree built
+  /// so far and costs one level. A statement, or a bracketed or unary
+  /// operand, costs kNestedLevels: the parser and the AST walks recurse
+  /// through more frames for it. So about 500 nested brackets fit (clang's
+  /// default -fbracket-depth is 256), as do a 1,000-term sum and a 500-arm
+  /// else-if chain. Measured with the CI sanitizer flags (ASan+UBSan,
+  /// RelWithDebInfo) on an 8 MiB stack, the first stage to overflow
+  /// (parser, AST walks or interpreter) needs at least 1.9 times this
+  /// budget for every kind of nesting; release builds have far more room.
+  static constexpr unsigned kMaxNestingDepth = 1024;
+  static constexpr unsigned kNestedLevels = 2;
+  /// Nesting levels held while a nested construct is parsed.
+  class NestingScope;
+  /// Reports the depth error once and skips to the end of the input, so no
+  /// recursion goes deeper and no cascading diagnostics follow.
+  void abandonTooDeep();
+
   // --- scopes ---
   void pushScope();
   void popScope();
@@ -118,6 +137,8 @@ private:
   DiagnosticEngine &diags_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;
+  bool tooDeep_ = false;
   std::vector<std::unordered_map<std::string, VarDecl *>> scopes_;
   std::unordered_map<std::string, RecordDecl *> recordsByName_;
   std::unordered_map<std::string, const Type *> typedefs_;

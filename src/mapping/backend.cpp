@@ -85,7 +85,7 @@ public:
 
 private:
   void registerVar(VarDecl *var) {
-    // Mirror of liftPlan's symbol identity: declaration-statement offset
+    // Mirror of the planner's symbol identity: declaration-statement offset
     // when known, the variable's own range otherwise.
     const SourceRange range =
         var->declStmtRange().isValid() ? var->declStmtRange() : var->range();

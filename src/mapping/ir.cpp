@@ -1,10 +1,6 @@
 #include "mapping/ir.hpp"
 
-#include "mapping/plan.hpp"
 #include "support/hash.hpp"
-
-#include <algorithm>
-#include <map>
 
 namespace ompdart::ir {
 
@@ -492,180 +488,6 @@ std::string MappingIr::fingerprint() const {
   // The JSON writer preserves member insertion order and toJson always
   // emits in one order, so the compact dump is a canonical serialization.
   return hash::fingerprint(toJson().dump(/*pretty=*/false));
-}
-
-// ---------------------------------------------------------------------------
-// Lifting
-// ---------------------------------------------------------------------------
-
-namespace {
-
-MapType liftMapType(OmpMapType type) {
-  switch (type) {
-  case OmpMapType::To:
-    return MapType::To;
-  case OmpMapType::From:
-    return MapType::From;
-  case OmpMapType::ToFrom:
-    return MapType::ToFrom;
-  case OmpMapType::Alloc:
-    return MapType::Alloc;
-  case OmpMapType::Release:
-    return MapType::Release;
-  case OmpMapType::Delete:
-    return MapType::Delete;
-  }
-  return MapType::ToFrom;
-}
-
-UpdateDirection liftDirection(ompdart::UpdateDirection direction) {
-  return direction == ompdart::UpdateDirection::To ? UpdateDirection::To
-                                                   : UpdateDirection::From;
-}
-
-UpdatePlacement liftPlacement(ompdart::UpdatePlacement placement) {
-  switch (placement) {
-  case ompdart::UpdatePlacement::Before:
-    return UpdatePlacement::Before;
-  case ompdart::UpdatePlacement::After:
-    return UpdatePlacement::After;
-  case ompdart::UpdatePlacement::BodyBegin:
-    return UpdatePlacement::BodyBegin;
-  case ompdart::UpdatePlacement::BodyEnd:
-    return UpdatePlacement::BodyEnd;
-  }
-  return UpdatePlacement::Before;
-}
-
-StmtAnchor anchorFor(const Stmt *stmt) {
-  StmtAnchor anchor;
-  if (stmt == nullptr)
-    return anchor;
-  anchor.beginOffset = stmt->range().begin.offset;
-  anchor.endOffset = stmt->range().end.offset;
-  anchor.line = stmt->range().begin.line;
-  anchor.endLine = stmt->range().end.line;
-  const Stmt *body = nullptr;
-  switch (stmt->kind()) {
-  case StmtKind::For:
-    body = static_cast<const ForStmt *>(stmt)->body();
-    break;
-  case StmtKind::While:
-    body = static_cast<const WhileStmt *>(stmt)->body();
-    break;
-  case StmtKind::Do:
-    body = static_cast<const DoStmt *>(stmt)->body();
-    break;
-  default:
-    break;
-  }
-  if (body != nullptr) {
-    anchor.hasBody = true;
-    anchor.bodyIsCompound = body->kind() == StmtKind::Compound;
-    anchor.bodyBeginOffset = body->range().begin.offset;
-    anchor.bodyEndOffset = body->range().end.offset;
-  }
-  return anchor;
-}
-
-/// Interns plan variables into the IR symbol table.
-class SymbolTable {
-public:
-  explicit SymbolTable(MappingIr &ir) : ir_(ir) {}
-
-  SymbolId intern(const VarDecl *var) {
-    if (var == nullptr)
-      return kInvalidSymbol;
-    auto it = ids_.find(var);
-    if (it != ids_.end())
-      return it->second;
-    Symbol sym;
-    sym.id = static_cast<SymbolId>(ir_.symbols.size());
-    sym.name = var->name();
-    const SourceRange range =
-        var->declStmtRange().isValid() ? var->declStmtRange() : var->range();
-    sym.declOffset = range.begin.offset;
-    sym.declLine = range.begin.line;
-    sym.isGlobal = var->isGlobal();
-    sym.isParam = var->isParam();
-    const Type *base = scalarBaseType(var->type());
-    sym.elemBytes = base != nullptr ? base->sizeInBytes()
-                                    : var->type()->sizeInBytes();
-    ids_[var] = sym.id;
-    ir_.symbols.push_back(std::move(sym));
-    return ids_[var];
-  }
-
-private:
-  MappingIr &ir_;
-  std::map<const VarDecl *, SymbolId> ids_;
-};
-
-std::string itemSpelling(const VarDecl *var, const std::string &section) {
-  if (!section.empty())
-    return section;
-  return var != nullptr ? var->name() : std::string();
-}
-
-} // namespace
-
-MappingIr liftPlan(const MappingPlan &plan, const std::string &fileName) {
-  MappingIr ir;
-  ir.file = fileName;
-  SymbolTable symbols(ir);
-
-  for (const RegionPlan &region : plan.regions) {
-    Region out;
-    out.function =
-        region.function != nullptr ? region.function->name() : std::string();
-    out.start = anchorFor(region.startStmt);
-    out.end = anchorFor(region.endStmt);
-    out.appendsToKernel = region.appendsToKernel();
-    if (region.soleKernel != nullptr)
-      out.soleKernelPragmaEndOffset =
-          region.soleKernel->pragmaRange().end.offset;
-    out.entryCount = region.entryCount;
-
-    for (const MapSpec &spec : region.maps) {
-      MapItem item;
-      item.symbol = symbols.intern(spec.var);
-      item.type = liftMapType(spec.mapType);
-      item.modifiers = spec.modifiers;
-      item.item = itemSpelling(spec.var, spec.section);
-      item.extent = spec.extent;
-      item.approxBytes = spec.approxBytes;
-      item.coldEntries = spec.coldEntries;
-      out.maps.push_back(std::move(item));
-    }
-
-    for (const UpdateInsertion &update : region.updates) {
-      UpdateItem item;
-      item.symbol = symbols.intern(update.var);
-      item.direction = liftDirection(update.direction);
-      item.placement = liftPlacement(update.placement);
-      item.hoisted = update.hoisted;
-      item.item = itemSpelling(update.var, update.section);
-      item.extent = update.extent;
-      item.approxBytes = update.approxBytes;
-      item.executions = update.executions;
-      item.anchor = anchorFor(update.anchor);
-      out.updates.push_back(std::move(item));
-    }
-
-    for (const FirstprivateInsertion &fp : region.firstprivates) {
-      FirstprivateItem item;
-      item.symbol = symbols.intern(fp.var);
-      item.var = fp.var != nullptr ? fp.var->name() : std::string();
-      if (fp.kernel != nullptr) {
-        item.kernelLine = fp.kernel->range().begin.line;
-        item.kernelPragmaEndOffset = fp.kernel->pragmaRange().end.offset;
-      }
-      out.firstprivates.push_back(std::move(item));
-    }
-
-    ir.regions.push_back(std::move(out));
-  }
-  return ir;
 }
 
 } // namespace ompdart::ir

@@ -1,9 +1,9 @@
-// Self-contained Mapping IR: the value-semantic, JSON-round-trippable form
-// of a mapping plan. Unlike `MappingPlan` (whose nodes are raw AST
-// pointers), the IR references program entities by stable symbol ids plus
-// source ranges, so plans can outlive the frontend: they serialize, diff,
-// cache across sessions, and re-apply to the original text (or to a live
-// interpreter) without reparsing.
+// Self-contained Mapping IR: the planner's output and the one plan
+// representation every later stage consumes. It is value-semantic and
+// JSON-round-trippable: program entities are referenced by stable symbol
+// ids plus source ranges, never AST pointers, so plans outlive the
+// frontend: they serialize, diff, cache across sessions, and re-apply to
+// the original text (or to a live interpreter) without reparsing.
 //
 // The map-type enum is widened into a lattice modeled on libomptarget's
 // `tgt_map_type` flag word: the base direction (alloc ⊑ to, from ⊑ tofrom)
@@ -20,10 +20,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-namespace ompdart {
-struct MappingPlan;
-} // namespace ompdart
 
 namespace ompdart::ir {
 
@@ -316,11 +312,5 @@ struct MappingIr {
     return !(*this == other);
   }
 };
-
-/// Lifts an AST-level MappingPlan into the self-contained IR. `fileName` is
-/// recorded in the IR header. Every AST pointer is replaced by a symbol-table
-/// entry or a source-range anchor; the result shares no state with the plan.
-[[nodiscard]] MappingIr liftPlan(const MappingPlan &plan,
-                                 const std::string &fileName);
 
 } // namespace ompdart::ir

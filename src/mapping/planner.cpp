@@ -10,11 +10,45 @@
 
 namespace ompdart {
 
+using ir::UpdateDirection;
+using ir::UpdatePlacement;
+
 namespace {
 
 bool statesEqual(const std::map<VarDecl *, bool> &a,
                  const std::map<VarDecl *, bool> &b) {
   return a == b;
+}
+
+/// A statement referenced by source range. Loop anchors record their body
+/// range too, so BodyBegin/BodyEnd placements materialize without the AST.
+ir::StmtAnchor anchorFor(const Stmt *stmt) {
+  ir::StmtAnchor anchor;
+  anchor.beginOffset = stmt->range().begin.offset;
+  anchor.endOffset = stmt->range().end.offset;
+  anchor.line = stmt->range().begin.line;
+  anchor.endLine = stmt->range().end.line;
+  const Stmt *body = nullptr;
+  switch (stmt->kind()) {
+  case StmtKind::For:
+    body = static_cast<const ForStmt *>(stmt)->body();
+    break;
+  case StmtKind::While:
+    body = static_cast<const WhileStmt *>(stmt)->body();
+    break;
+  case StmtKind::Do:
+    body = static_cast<const DoStmt *>(stmt)->body();
+    break;
+  default:
+    break;
+  }
+  if (body != nullptr) {
+    anchor.hasBody = true;
+    anchor.bodyIsCompound = body->kind() == StmtKind::Compound;
+    anchor.bodyBeginOffset = body->range().begin.offset;
+    anchor.bodyEndOffset = body->range().end.offset;
+  }
+  return anchor;
 }
 
 } // namespace
@@ -27,13 +61,14 @@ MappingPlanner::MappingPlanner(const TranslationUnit &unit,
       mallocExtents_(unit),
       extents_(unit, interproc, mallocExtents_, options.imports, &diags) {}
 
-MappingPlan MappingPlanner::plan() {
-  return plan(buildAllCfgs(unit_));
-}
+ir::MappingIr MappingPlanner::plan() { return plan(buildAllCfgs(unit_)); }
 
-MappingPlan
+ir::MappingIr
 MappingPlanner::plan(const std::vector<std::unique_ptr<AstCfg>> &cfgs) {
-  MappingPlan result;
+  ir::MappingIr result;
+  symbolIds_.clear();
+  symbolVars_.clear();
+  regionAsts_.clear();
   estimateFunctionExecutions(cfgs);
   for (const auto &cfg : cfgs) {
     if (cfg->kernels().empty())
@@ -44,7 +79,51 @@ MappingPlanner::plan(const std::vector<std::unique_ptr<AstCfg>> &cfgs) {
   return result;
 }
 
-void MappingPlanner::markPresentMaps(MappingPlan &plan) const {
+ir::SymbolId MappingPlanner::internSymbol(const VarDecl *var,
+                                          ir::MappingIr &out) {
+  auto it = symbolIds_.find(var);
+  if (it != symbolIds_.end())
+    return it->second;
+  ir::Symbol sym;
+  sym.id = static_cast<ir::SymbolId>(out.symbols.size());
+  sym.name = var->name();
+  // The declaration-statement offset (the variable's own range when there
+  // is none) is the identity backends re-resolve the symbol by.
+  const SourceRange range =
+      var->declStmtRange().isValid() ? var->declStmtRange() : var->range();
+  sym.declOffset = range.begin.offset;
+  sym.declLine = range.begin.line;
+  sym.isGlobal = var->isGlobal();
+  sym.isParam = var->isParam();
+  const Type *base = scalarBaseType(var->type());
+  sym.elemBytes =
+      base != nullptr ? base->sizeInBytes() : var->type()->sizeInBytes();
+  symbolIds_.emplace(var, sym.id);
+  symbolVars_.push_back(var);
+  out.symbols.push_back(std::move(sym));
+  return out.symbols.back().id;
+}
+
+void MappingPlanner::commitRegion(RegionDraft &draft, const FunctionDecl *fn,
+                                  ir::MappingIr &out) {
+  ir::Region &region = draft.region;
+  for (auto &[var, item] : draft.maps) {
+    item.symbol = internSymbol(var, out);
+    region.maps.push_back(std::move(item));
+  }
+  for (auto &[var, item] : draft.updates) {
+    item.symbol = internSymbol(var, out);
+    region.updates.push_back(std::move(item));
+  }
+  for (auto &[var, item] : draft.firstprivates) {
+    item.symbol = internSymbol(var, out);
+    region.firstprivates.push_back(std::move(item));
+  }
+  out.regions.push_back(std::move(region));
+  regionAsts_.push_back(RegionAst{fn, draft.startStmt});
+}
+
+void MappingPlanner::markPresentMaps(ir::MappingIr &out) const {
   // Warm-callee post-pass: a region entry reached through a call site that
   // sits inside an enclosing caller region already mapping the object is
   // warm — its map is a pure reference-count transition (1->2 on entry,
@@ -81,16 +160,28 @@ void MappingPlanner::markPresentMaps(MappingPlan &plan) const {
     return it->second;
   };
 
-  for (RegionPlan &region : plan.regions) {
-    const FunctionDecl *fn = region.function;
-    if (fn == nullptr || fn == mainFn)
+  auto regionOf = [&](const FunctionDecl *fn) -> const ir::Region * {
+    for (std::size_t i = 0; i < regionAsts_.size(); ++i)
+      if (regionAsts_[i].function == fn)
+        return &out.regions[i];
+    return nullptr;
+  };
+  auto symbolOf = [&](const VarDecl *var) {
+    auto it = symbolIds_.find(var);
+    return it != symbolIds_.end() ? it->second : ir::kInvalidSymbol;
+  };
+
+  for (std::size_t r = 0; r < out.regions.size(); ++r) {
+    ir::Region &region = out.regions[r];
+    const FunctionDecl *fn = regionAsts_[r].function;
+    if (fn == mainFn)
       continue;
 
     // The per-site split reconstructs entryCount = fnExec * startTrips; a
     // guarded region start collapses entries to the floor of one, where
     // per-site attribution is ambiguous — stay conservative (all cold).
     const ProvableMultiplier startMult =
-        provableMultiplierOf(callerParents(fn), region.startStmt);
+        provableMultiplierOf(callerParents(fn), regionAsts_[r].startStmt);
     if (startMult.guarded)
       continue;
 
@@ -131,44 +222,43 @@ void MappingPlanner::markPresentMaps(MappingPlan &plan) const {
     if (!allSitesVisible || sites.empty())
       continue;
 
-    for (MapSpec &spec : region.maps) {
-      if (spec.mapType == OmpMapType::Alloc)
+    for (ir::MapItem &map : region.maps) {
+      if (map.type == ir::MapType::Alloc)
         continue; // nothing to suppress
+      const VarDecl *var = symbolVars_[map.symbol];
       std::uint64_t warmEntries = 0;
       bool warmEverywhere = true;
       for (const Site &entry : sites) {
         bool warm = false;
-        const RegionPlan *callerRegion = plan.regionFor(entry.caller);
-        if (callerRegion != nullptr && !callerRegion->appendsToKernel() &&
-            callerRegion->startStmt != nullptr &&
-            callerRegion->endStmt != nullptr) {
+        const ir::Region *callerRegion = regionOf(entry.caller);
+        if (callerRegion != nullptr && !callerRegion->appendsToKernel) {
           const std::size_t callOffset =
               entry.site->stmt->range().begin.offset;
           const bool inRegion =
-              callOffset >= callerRegion->startStmt->range().begin.offset &&
-              callOffset < callerRegion->endStmt->range().end.offset;
+              callOffset >= callerRegion->start.beginOffset &&
+              callOffset < callerRegion->end.endOffset;
           if (inRegion) {
             // Resolve the mapped variable to the caller-side object at
             // this site: params through the argument expression, globals
             // directly.
-            VarDecl *callerObject = spec.var;
-            if (spec.var != nullptr && spec.var->isParam()) {
+            const VarDecl *callerObject = var;
+            if (var->isParam()) {
               const auto &params = fn->params();
               std::size_t index = params.size();
               for (std::size_t i = 0; i < params.size(); ++i)
-                if (params[i] == spec.var)
+                if (params[i] == var)
                   index = i;
               callerObject =
                   index < entry.site->call->args().size()
                       ? argumentObject(entry.site->call->args()[index])
                       : nullptr;
             }
-            if (callerObject != nullptr) {
-              for (const MapSpec &callerSpec : callerRegion->maps)
-                if (callerSpec.var == callerObject &&
-                    callerSpec.extent.kind == ir::Extent::Kind::Whole)
+            const ir::SymbolId callerSymbol = symbolOf(callerObject);
+            if (callerSymbol != ir::kInvalidSymbol)
+              for (const ir::MapItem &callerMap : callerRegion->maps)
+                if (callerMap.symbol == callerSymbol &&
+                    callerMap.extent.kind == ir::Extent::Kind::Whole)
                   warm = true;
-            }
           }
         }
         if (warm)
@@ -176,12 +266,12 @@ void MappingPlanner::markPresentMaps(MappingPlan &plan) const {
         else
           warmEverywhere = false;
       }
-      spec.coldEntries = warmEntries >= spec.coldEntries
-                             ? 0
-                             : spec.coldEntries - warmEntries;
+      map.coldEntries = warmEntries >= map.coldEntries
+                            ? 0
+                            : map.coldEntries - warmEntries;
       if (warmEverywhere) {
-        spec.coldEntries = 0;
-        spec.modifiers.present = true;
+        map.coldEntries = 0;
+        map.modifiers.present = true;
       }
     }
   }
@@ -243,7 +333,7 @@ bool MappingPlanner::contains(const Stmt *outer, const Stmt *inner) {
 }
 
 bool MappingPlanner::chooseRegionExtent(const AstCfg &cfg,
-                                        RegionPlan &region) {
+                                        RegionDraft &draft) {
   const auto &kernels = cfg.kernels();
   const OmpDirectiveStmt *firstKernel = kernels.front();
   const OmpDirectiveStmt *lastKernel = kernels.back();
@@ -287,21 +377,26 @@ bool MappingPlanner::chooseRegionExtent(const AstCfg &cfg,
         return chain[i + 1];
     return chain.back();
   };
-  region.startStmt = childWithin(startChain);
-  region.endStmt = childWithin(endChain);
-  if (region.startStmt->range().begin.offset >
-      region.endStmt->range().begin.offset)
-    std::swap(region.startStmt, region.endStmt);
+  draft.startStmt = childWithin(startChain);
+  draft.endStmt = childWithin(endChain);
+  if (draft.startStmt->range().begin.offset >
+      draft.endStmt->range().begin.offset)
+    std::swap(draft.startStmt, draft.endStmt);
+  draft.region.start = anchorFor(draft.startStmt);
+  draft.region.end = anchorFor(draft.endStmt);
 
   // Single-kernel special case: append clauses to the kernel's pragma.
-  if (region.startStmt == region.endStmt && kernels.size() == 1 &&
-      region.startStmt == firstKernel)
-    region.soleKernel = firstKernel;
+  if (draft.startStmt == draft.endStmt && kernels.size() == 1 &&
+      draft.startStmt == firstKernel) {
+    draft.region.appendsToKernel = true;
+    draft.region.soleKernelPragmaEndOffset =
+        firstKernel->pragmaRange().end.offset;
+  }
   return true;
 }
 
 void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
-                                  MappingPlan &outPlan) {
+                                  ir::MappingIr &out) {
   accesses_ = interproc_.accessesFor(fn);
   if (accesses_ == nullptr)
     return;
@@ -321,12 +416,12 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
     stmtParents_ = parents.takeLinks();
   }
 
-  RegionPlan region;
-  region.function = fn;
-  if (!chooseRegionExtent(cfg, region))
+  RegionDraft draft;
+  draft.region.function = fn->name();
+  if (!chooseRegionExtent(cfg, draft))
     return;
-  regionBeginOffset_ = region.startStmt->range().begin.offset;
-  regionEndOffset_ = region.endStmt->range().end.offset;
+  regionBeginOffset_ = draft.startStmt->range().begin.offset;
+  regionEndOffset_ = draft.endStmt->range().end.offset;
 
   // Provable region entries: every entry/exit replays the present-table
   // 0->1/1->0 transition copies, so the function's interprocedural call
@@ -339,11 +434,11 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
         it != fnExecutions_.end() ? std::max<std::uint64_t>(1, it->second)
                                   : 1;
     const ProvableMultiplier start =
-        provableMultiplierOf(stmtParents_, region.startStmt);
+        provableMultiplierOf(stmtParents_, draft.startStmt);
     // A region start behind an if/switch may never execute: floor of one.
     const std::uint64_t entries =
         start.guarded ? 1 : saturatingMul(fnExec, start.trips);
-    region.entryCount = entries;
+    draft.region.entryCount = entries;
     regionEntryCount_ = entries;
   }
 
@@ -357,7 +452,7 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
       const Stmt *start;
       const Stmt *end;
       WalkContext &ctx;
-      RegionPlan &region;
+      RegionDraft &region;
       bool active = false;
       bool done = false;
 
@@ -415,7 +510,7 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
           return;
         }
       }
-    } walker{*this, region.startStmt, region.endStmt, ctx, region};
+    } walker{*this, draft.startStmt, draft.endStmt, ctx, draft};
     walker.visit(fn->body());
   }
 
@@ -474,25 +569,26 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
       const Stmt *pos = hoistAfterHostWrite(state, nullptr, hoisted);
       if (pos != nullptr)
         addUpdate(var, UpdateDirection::To, pos, UpdatePlacement::After,
-                  hoisted, region);
+                  hoisted, draft);
     }
 
-    MapSpec spec;
-    spec.var = var;
-    const SectionInfo section = sectionFor(var);
-    spec.section = section.spelling;
-    spec.extent = section.extent;
-    spec.approxBytes = section.bytes;
-    spec.coldEntries = regionEntryCount_;
+    const std::optional<SectionInfo> section = sectionFor(var);
+    if (!section)
+      continue;
+    ir::MapItem map;
+    map.item = section->spelling;
+    map.extent = section->extent;
+    map.approxBytes = section->bytes;
+    map.coldEntries = regionEntryCount_;
     if (facts.needsTo && needsFrom)
-      spec.mapType = OmpMapType::ToFrom;
+      map.type = ir::MapType::ToFrom;
     else if (facts.needsTo)
-      spec.mapType = OmpMapType::To;
+      map.type = ir::MapType::To;
     else if (needsFrom)
-      spec.mapType = OmpMapType::From;
+      map.type = ir::MapType::From;
     else
-      spec.mapType = OmpMapType::Alloc;
-    region.maps.push_back(spec);
+      map.type = ir::MapType::Alloc;
+    draft.maps.emplace_back(var, std::move(map));
   }
 
   // firstprivate post-pass (paper §IV-D): read-only device scalars become
@@ -510,17 +606,18 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
     std::sort(firstprivateVars.begin(), firstprivateVars.end(),
               varDeclBefore);
     for (VarDecl *var : firstprivateVars) {
-      region.maps.erase(
-          std::remove_if(region.maps.begin(), region.maps.end(),
-                         [&](const MapSpec &spec) { return spec.var == var; }),
-          region.maps.end());
-      region.updates.erase(
-          std::remove_if(region.updates.begin(), region.updates.end(),
-                         [&](const UpdateInsertion &update) {
-                           return update.var == var &&
-                                  update.direction == UpdateDirection::To;
+      draft.maps.erase(
+          std::remove_if(draft.maps.begin(), draft.maps.end(),
+                         [&](const auto &map) { return map.first == var; }),
+          draft.maps.end());
+      draft.updates.erase(
+          std::remove_if(draft.updates.begin(), draft.updates.end(),
+                         [&](const auto &update) {
+                           return update.first == var &&
+                                  update.second.direction ==
+                                      UpdateDirection::To;
                          }),
-          region.updates.end());
+          draft.updates.end());
       for (const OmpDirectiveStmt *kernel : cfg.kernels()) {
         // Attach only to kernels that actually reference the variable.
         bool references = false;
@@ -536,8 +633,13 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
             if (object.var == var)
               references = false;
         }
-        if (references)
-          region.firstprivates.push_back(FirstprivateInsertion{kernel, var});
+        if (references) {
+          ir::FirstprivateItem item;
+          item.var = var->name();
+          item.kernelLine = kernel->range().begin.line;
+          item.kernelPragmaEndOffset = kernel->pragmaRange().end.offset;
+          draft.firstprivates.emplace_back(var, std::move(item));
+        }
       }
     }
   }
@@ -545,14 +647,13 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
   // Declaration-before-region validation (paper §IV-D): every mapped
   // variable declared inside the function must precede the region.
   bool declarationError = false;
-  for (const MapSpec &spec : region.maps) {
-    const VarDecl *var = spec.var;
+  for (const auto &[var, map] : draft.maps) {
     if (var->isGlobal() || var->isParam())
       continue;
     if (!var->declStmtRange().isValid())
       continue;
     if (var->declStmtRange().begin.offset >= regionBeginOffset_ &&
-        !region.appendsToKernel()) {
+        !draft.region.appendsToKernel) {
       diags_.error(var->declStmtRange().begin,
                    "declaration of '" + var->name() +
                        "' must be moved before the target data region "
@@ -565,13 +666,13 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
   if (declarationError)
     return;
 
-  if (!region.maps.empty() || !region.updates.empty() ||
-      !region.firstprivates.empty())
-    outPlan.regions.push_back(std::move(region));
+  if (!draft.maps.empty() || !draft.updates.empty() ||
+      !draft.firstprivates.empty())
+    commitRegion(draft, fn, out);
 }
 
 void MappingPlanner::walkStmt(const Stmt *stmt, WalkContext &ctx,
-                              RegionPlan &region) {
+                              RegionDraft &region) {
   if (stmt == nullptr)
     return;
   switch (stmt->kind()) {
@@ -684,7 +785,7 @@ bool MappingPlanner::isKernelLocal(const VarDecl *var) const {
 }
 
 void MappingPlanner::processLeafEvents(const Stmt *stmt, WalkContext &ctx,
-                                       RegionPlan &region) {
+                                       RegionDraft &region) {
   auto it = accesses_->byStmt.find(stmt);
   if (it == accesses_->byStmt.end())
     return;
@@ -714,7 +815,7 @@ void MappingPlanner::processLeafEvents(const Stmt *stmt, WalkContext &ctx,
 }
 
 void MappingPlanner::handleDeviceRead(const AccessEvent &event,
-                                      WalkContext &ctx, RegionPlan &region) {
+                                      WalkContext &ctx, RegionDraft &region) {
   VarDecl *var = event.var;
   VarFacts &facts = facts_[var];
   facts.referencedInKernel = true;
@@ -753,7 +854,7 @@ void MappingPlanner::handleDeviceRead(const AccessEvent &event,
 }
 
 void MappingPlanner::handleDeviceWrite(const AccessEvent &event,
-                                       WalkContext &ctx, RegionPlan &region) {
+                                       WalkContext &ctx, RegionDraft &region) {
   VarDecl *var = event.var;
   VarFacts &facts = facts_[var];
   facts.referencedInKernel = true;
@@ -787,7 +888,7 @@ void MappingPlanner::handleDeviceWrite(const AccessEvent &event,
 }
 
 void MappingPlanner::handleHostRead(const AccessEvent &event,
-                                    WalkContext &ctx, RegionPlan &region) {
+                                    WalkContext &ctx, RegionDraft &region) {
   VarDecl *var = event.var;
   VarState &state = ctx.state[var];
   if (state.hostValid)
@@ -889,7 +990,7 @@ const Stmt *MappingPlanner::hoistAfterHostWrite(
 }
 
 void MappingPlanner::handleHostWrite(const AccessEvent &event,
-                                     WalkContext &ctx, RegionPlan &region) {
+                                     WalkContext &ctx, RegionDraft &region) {
   VarDecl *var = event.var;
   VarState &state = ctx.state[var];
 
@@ -951,47 +1052,51 @@ void MappingPlanner::mergeStates(
 
 void MappingPlanner::addUpdate(VarDecl *var, UpdateDirection direction,
                                const Stmt *anchor, UpdatePlacement placement,
-                               bool hoisted, RegionPlan &region) {
+                               bool hoisted, RegionDraft &region) {
   const auto key = std::make_tuple(var, direction, anchor);
   if (!updateKeys_.insert(key).second)
     return;
-  UpdateInsertion update;
-  update.var = var;
+  const std::optional<SectionInfo> section = sectionFor(var);
+  if (!section)
+    return;
+  ir::UpdateItem update;
   update.direction = direction;
-  update.anchor = anchor;
   update.placement = placement;
   update.hoisted = hoisted;
-  const SectionInfo section = sectionFor(var);
-  update.section = section.spelling;
-  update.extent = section.extent;
-  update.approxBytes = section.bytes;
+  update.item = section->spelling;
+  update.extent = section->extent;
+  update.approxBytes = section->bytes;
   update.executions = updateExecutionsAt(anchor, placement);
-  region.updates.push_back(std::move(update));
+  update.anchor = anchorFor(anchor);
+  region.updates.emplace_back(var, std::move(update));
 }
 
 ExtentInfo MappingPlanner::effectiveExtent(VarDecl *var) const {
   return extents_.effectiveExtent(var);
 }
 
-MappingPlanner::SectionInfo MappingPlanner::sectionFor(VarDecl *var) const {
+std::optional<MappingPlanner::SectionInfo>
+MappingPlanner::sectionFor(VarDecl *var) const {
   auto it = sectionMemo_.find(var);
   if (it == sectionMemo_.end())
     it = sectionMemo_.emplace(var, computeSectionFor(var)).first;
   return it->second;
 }
 
-MappingPlanner::SectionInfo
+std::optional<MappingPlanner::SectionInfo>
 MappingPlanner::computeSectionFor(VarDecl *var) const {
-  const ExtentInfo extent = effectiveExtent(var);
+  ExtentInfo extent = effectiveExtent(var);
   const Type *base = scalarBaseType(var->type());
   const std::uint64_t elemSize = base != nullptr ? base->sizeInBytes() : 1;
 
   if (var->type()->isPointer()) {
+    if (!extent.known())
+      extent = extents_.deviceSectionExtent(var);
     if (!extent.known()) {
-      diags_.warning(var->range().begin,
-                     "cannot determine extent of pointer '" + var->name() +
-                         "'; mapping requires a known allocation size");
-      return {var->name() + "[0:0]", 0, ir::Extent::constant(0)};
+      diags_.error(var->range().begin,
+                   "cannot determine extent of pointer '" + var->name() +
+                       "'; mapping requires a known allocation size");
+      return std::nullopt;
     }
     std::uint64_t bytes =
         extent.constElems ? *extent.constElems * elemSize : 0;
@@ -1003,9 +1108,10 @@ MappingPlanner::computeSectionFor(VarDecl *var) const {
       if (const auto elems = symbolicExtentElems(extent))
         bytes = *elems * elemSize;
     }
-    return {var->name() + "[0:" + extent.spelling + "]", bytes,
-            extent.constElems ? ir::Extent::constant(*extent.constElems)
-                              : ir::Extent::symbolic(extent.spelling)};
+    return SectionInfo{var->name() + "[0:" + extent.spelling + "]", bytes,
+                       extent.constElems
+                           ? ir::Extent::constant(*extent.constElems)
+                           : ir::Extent::symbolic(extent.spelling)};
   }
   if (var->type()->isArray()) {
     // Guo-style unused-segment filtering: when every device access is
@@ -1061,15 +1167,18 @@ MappingPlanner::computeSectionFor(VarDecl *var) const {
     }
     if (allBounded && maxUpper && extent.constElems &&
         *maxUpper < *extent.constElems) {
-      return {var->name() + "[0:" + std::to_string(*maxUpper) + "]",
-              *maxUpper * elemSize, ir::Extent::constant(*maxUpper)};
+      return SectionInfo{var->name() + "[0:" + std::to_string(*maxUpper) +
+                             "]",
+                         *maxUpper * elemSize,
+                         ir::Extent::constant(*maxUpper)};
     }
     const std::uint64_t bytes =
         extent.constElems ? *extent.constElems * elemSize : 0;
-    return {var->name(), bytes, ir::Extent::whole()};
+    return SectionInfo{var->name(), bytes, ir::Extent::whole()};
   }
   // Scalars and records map whole.
-  return {var->name(), var->type()->sizeInBytes(), ir::Extent::whole()};
+  return SectionInfo{var->name(), var->type()->sizeInBytes(),
+                     ir::Extent::whole()};
 }
 
 std::optional<std::uint64_t>
@@ -1114,10 +1223,10 @@ MappingPlanner::updateExecutionsAt(const Stmt *anchor,
   return saturatingMul(regionEntryCount_, product);
 }
 
-MappingPlan planMappings(const TranslationUnit &unit,
-                         const InterproceduralResult &interproc,
-                         DiagnosticEngine &diags, PlannerOptions options,
-                         const std::vector<std::unique_ptr<AstCfg>> *cfgs) {
+ir::MappingIr planMappings(const TranslationUnit &unit,
+                           const InterproceduralResult &interproc,
+                           DiagnosticEngine &diags, PlannerOptions options,
+                           const std::vector<std::unique_ptr<AstCfg>> *cfgs) {
   MappingPlanner planner(unit, interproc, diags, options);
   return cfgs != nullptr ? planner.plan(*cfgs) : planner.plan();
 }

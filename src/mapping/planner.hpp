@@ -14,6 +14,10 @@
 //      PlannerOptions ablation switches turn the firstprivate, hoisting and
 //      region-extent steps off.
 //   4. infers array sections from bounds analysis / malloc extents.
+//
+// The result is the Mapping IR itself: AST pointers stay inside the
+// planner, which writes symbol ids and source-range anchors straight into
+// the IR regions it emits.
 #pragma once
 
 #include "analysis/bounds.hpp"
@@ -22,13 +26,15 @@
 #include "analysis/liveness.hpp"
 #include "analysis/summary.hpp"
 #include "cfg/cfg.hpp"
-#include "mapping/plan.hpp"
+#include "mapping/ir.hpp"
 #include "support/diagnostics.hpp"
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 namespace ompdart {
 
@@ -58,12 +64,13 @@ public:
                  const InterproceduralResult &interproc,
                  DiagnosticEngine &diags, PlannerOptions options = {});
 
-  /// Plans regions for every defined function that launches kernels.
-  [[nodiscard]] MappingPlan plan();
+  /// Plans regions for every defined function that launches kernels. The
+  /// IR's `file` is left empty for the caller to fill in.
+  [[nodiscard]] ir::MappingIr plan();
 
   /// Same, but reuses caller-provided AST-CFGs (the Session's cached `cfg()`
   /// artifact) instead of rebuilding them.
-  [[nodiscard]] MappingPlan
+  [[nodiscard]] ir::MappingIr
   plan(const std::vector<std::unique_ptr<AstCfg>> &cfgs);
 
 private:
@@ -87,36 +94,62 @@ private:
     /// restricted to host-side loops inside the region.
     std::vector<const Stmt *> loops;
   };
+  /// IR items paired with the variable each one maps.
+  template <typename Item>
+  using VarItems = std::vector<std::pair<VarDecl *, Item>>;
+  /// The region being planned. Its items get symbol ids only when the
+  /// region is kept, so ids follow the emitted item order: per region,
+  /// maps, then updates, then firstprivates.
+  struct RegionDraft {
+    ir::Region region; ///< header fields; items land at commit
+    const Stmt *startStmt = nullptr;
+    const Stmt *endStmt = nullptr;
+    VarItems<ir::MapItem> maps;
+    VarItems<ir::UpdateItem> updates;
+    VarItems<ir::FirstprivateItem> firstprivates;
+  };
+  /// AST facts of one emitted region (parallel to the IR's regions), for
+  /// the warm-callee post-pass.
+  struct RegionAst {
+    const FunctionDecl *function = nullptr;
+    const Stmt *startStmt = nullptr;
+  };
 
   void planFunction(const FunctionDecl *fn, const AstCfg &cfg,
-                    MappingPlan &outPlan);
+                    ir::MappingIr &out);
+
+  /// Appends the draft's region to `out`, interning its symbols.
+  void commitRegion(RegionDraft &draft, const FunctionDecl *fn,
+                    ir::MappingIr &out);
+  ir::SymbolId internSymbol(const VarDecl *var, ir::MappingIr &out);
 
   /// Warm-callee post-pass: marks map items `present` when every call site
   /// of the region's function provably executes inside an enclosing caller
   /// region that already maps the object (refcount 1->2 transitions move
   /// no bytes; the transfer predictor skips present items).
-  void markPresentMaps(MappingPlan &plan) const;
+  void markPresentMaps(ir::MappingIr &out) const;
 
   /// Region extent selection (step 1).
-  bool chooseRegionExtent(const AstCfg &cfg, RegionPlan &region);
+  bool chooseRegionExtent(const AstCfg &cfg, RegionDraft &draft);
 
   /// Validity walk (step 3).
-  void walkStmt(const Stmt *stmt, WalkContext &ctx, RegionPlan &region);
+  void walkStmt(const Stmt *stmt, WalkContext &ctx, RegionDraft &region);
   void processLeafEvents(const Stmt *stmt, WalkContext &ctx,
-                         RegionPlan &region);
+                         RegionDraft &region);
   void handleDeviceRead(const AccessEvent &event, WalkContext &ctx,
-                        RegionPlan &region);
+                        RegionDraft &region);
   void handleDeviceWrite(const AccessEvent &event, WalkContext &ctx,
-                         RegionPlan &region);
+                         RegionDraft &region);
   void handleHostRead(const AccessEvent &event, WalkContext &ctx,
-                      RegionPlan &region);
+                      RegionDraft &region);
   void handleHostWrite(const AccessEvent &event, WalkContext &ctx,
-                       RegionPlan &region);
+                       RegionDraft &region);
   void mergeStates(std::map<VarDecl *, VarState> &into,
                    const std::map<VarDecl *, VarState> &branch);
 
-  void addUpdate(VarDecl *var, UpdateDirection direction, const Stmt *anchor,
-                 UpdatePlacement placement, bool hoisted, RegionPlan &region);
+  void addUpdate(VarDecl *var, ir::UpdateDirection direction,
+                 const Stmt *anchor, ir::UpdatePlacement placement,
+                 bool hoisted, RegionDraft &region);
 
   /// Interprocedural execution-count estimate per function: entry functions
   /// execute once; a callee executes caller-executions times the constant
@@ -130,7 +163,8 @@ private:
   /// `placement`: region entries times the constant trips of region loops
   /// enclosing the insertion point.
   [[nodiscard]] std::uint64_t
-  updateExecutionsAt(const Stmt *anchor, UpdatePlacement placement) const;
+  updateExecutionsAt(const Stmt *anchor,
+                     ir::UpdatePlacement placement) const;
 
   /// Parent statement per `stmtParents_` (null at the function body root).
   [[nodiscard]] const Stmt *stmtParent(const Stmt *stmt) const;
@@ -154,11 +188,13 @@ private:
     ir::Extent extent;
   };
   /// Memoized per variable for the current function, so the
-  /// unknown-pointer-extent warning is emitted once per pointer per
-  /// function however many maps and updates query the section.
-  [[nodiscard]] SectionInfo sectionFor(VarDecl *var) const;
-  /// Uncached computation (emits the unknown-pointer-extent warning).
-  [[nodiscard]] SectionInfo computeSectionFor(VarDecl *var) const;
+  /// unknown-pointer-extent error is emitted once per pointer per function
+  /// however many maps and updates query the section. Nullopt for a
+  /// pointer whose extent is unknown: no item maps it (fail closed).
+  [[nodiscard]] std::optional<SectionInfo> sectionFor(VarDecl *var) const;
+  /// Uncached computation (emits the unknown-pointer-extent error).
+  [[nodiscard]] std::optional<SectionInfo>
+  computeSectionFor(VarDecl *var) const;
 
   /// Declared/malloc extent, falling back to inference from the loop bounds
   /// of device accesses when the allocation size is invisible. Delegates to
@@ -194,9 +230,11 @@ private:
   std::unique_ptr<LivenessAnalysis> liveness_;
   const AstCfg *cfg_ = nullptr;
   std::map<VarDecl *, VarFacts> facts_;
-  std::set<std::tuple<VarDecl *, UpdateDirection, const Stmt *>> updateKeys_;
+  std::set<std::tuple<VarDecl *, ir::UpdateDirection, const Stmt *>>
+      updateKeys_;
   /// sectionFor memo for the current function.
-  mutable std::unordered_map<VarDecl *, SectionInfo> sectionMemo_;
+  mutable std::unordered_map<VarDecl *, std::optional<SectionInfo>>
+      sectionMemo_;
   std::size_t regionBeginOffset_ = 0;
   std::size_t regionEndOffset_ = 0;
   /// Provable entries of the current region (planFunction).
@@ -204,11 +242,16 @@ private:
   /// Child -> parent statement links of the current function, for walking
   /// the loop chain above an arbitrary update anchor.
   std::unordered_map<const Stmt *, const Stmt *> stmtParents_;
+
+  // Per-plan symbol table and emitted-region AST facts.
+  std::map<const VarDecl *, ir::SymbolId> symbolIds_;
+  std::vector<const VarDecl *> symbolVars_; ///< indexed by SymbolId
+  std::vector<RegionAst> regionAsts_;
 };
 
 /// Convenience: full pipeline for a parsed unit. When `cfgs` is non-null the
 /// planner reuses those AST-CFGs instead of rebuilding them.
-[[nodiscard]] MappingPlan
+[[nodiscard]] ir::MappingIr
 planMappings(const TranslationUnit &unit,
              const InterproceduralResult &interproc, DiagnosticEngine &diags,
              PlannerOptions options = {},

@@ -1,7 +1,5 @@
 #include "rewrite/rewriter.hpp"
 
-#include "mapping/plan.hpp"
-
 #include <algorithm>
 #include <map>
 
@@ -284,12 +282,6 @@ std::string applyMappingIr(const SourceManager &sourceManager,
                            const ir::MappingIr &ir) {
   PlanRewriter rewriter(sourceManager, ir);
   return rewriter.rewrite();
-}
-
-std::string applyMappingPlan(const SourceManager &sourceManager,
-                             const MappingPlan &plan) {
-  return applyMappingIr(sourceManager,
-                        ir::liftPlan(plan, sourceManager.fileName()));
 }
 
 } // namespace ompdart

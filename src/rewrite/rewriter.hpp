@@ -10,8 +10,7 @@
 // The rewriter consumes the self-contained Mapping IR: every insertion
 // point is a byte offset recorded in the IR, so a serialized plan can be
 // re-applied to the original text without the AST (the IR + the buffer are
-// sufficient). `applyMappingPlan` keeps the AST-level convenience
-// signature by lifting the plan first.
+// sufficient).
 #pragma once
 
 #include "mapping/ir.hpp"
@@ -22,8 +21,6 @@
 #include <vector>
 
 namespace ompdart {
-
-struct MappingPlan;
 
 /// Offset-keyed insert-only text editor. Edits at the same offset apply in
 /// priority order (then insertion order): structural nesting at one line —
@@ -102,10 +99,5 @@ updateInsertionOffset(const SourceManager &sourceManager,
 /// Convenience: render `ir` against the original buffer.
 [[nodiscard]] std::string applyMappingIr(const SourceManager &sourceManager,
                                          const ir::MappingIr &ir);
-
-/// Convenience: apply an AST-level `plan` to the source and return the
-/// transformed text (lifts to IR internally).
-[[nodiscard]] std::string applyMappingPlan(const SourceManager &sourceManager,
-                                           const MappingPlan &plan);
 
 } // namespace ompdart

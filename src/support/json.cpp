@@ -288,9 +288,17 @@ private:
     const char c = text_[pos_];
     switch (c) {
     case '{':
-      return parseObject();
-    case '[':
-      return parseArray();
+    case '[': {
+      // Bounded nesting: deeper documents fail instead of overflowing the
+      // stack here (or in the recursive destructor of the value tree).
+      if (depth_ == kMaxNestingDepth) {
+        fail("nesting exceeds the maximum depth of " +
+             std::to_string(kMaxNestingDepth));
+        return std::nullopt;
+      }
+      const Nesting nesting(depth_);
+      return c == '{' ? parseObject() : parseArray();
+    }
     case '"': {
       std::optional<std::string> str = parseString();
       if (!str)
@@ -511,9 +519,24 @@ private:
     return Value(parsed);
   }
 
+  static constexpr unsigned kMaxNestingDepth = 256;
+
+  /// One level of object/array nesting, held while it is parsed.
+  class Nesting {
+  public:
+    explicit Nesting(unsigned &depth) : depth_(depth) { ++depth_; }
+    ~Nesting() { --depth_; }
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+
+  private:
+    unsigned &depth_;
+  };
+
   const std::string &text_;
   std::string *error_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;
 };
 
 } // namespace

@@ -5,6 +5,6 @@
 
 namespace ompdart {
 
-inline constexpr const char *kToolVersion = "0.4.0";
+inline constexpr const char *kToolVersion = "0.5.0";
 
 } // namespace ompdart

@@ -439,6 +439,80 @@ TEST(PlanCacheTest, CorruptedEntryIsRejectedNotReplayed) {
   EXPECT_EQ(warm.rewrite(), cold.rewrite()); // replanned fresh, same output
 }
 
+// Tool version 0.4.0 planned inputs that later rules refuse: an unknown
+// pointer extent was a warning (the plan mapped `p[0:0]`), and a kernel
+// that already carries `map` clauses was re-planned. It stored those runs
+// as successes. Such entries must miss, so the refusal is what a cache
+// user sees, not the old plan.
+TEST(PlanCacheTest, EntriesFromBeforeTheFailClosedRulesMiss) {
+  const std::string unknownExtent = R"(
+void f(double *p, int k, int n) {
+  for (int t = 0; t < n; ++t) {
+    #pragma omp target
+    {
+      p[k] = t;
+    }
+    p[k] += 1.0;
+    #pragma omp target
+    {
+      p[k] *= 2.0;
+    }
+  }
+}
+)";
+  const suite::BenchmarkDef *hotspot = suite::findBenchmark("hotspot");
+  ASSERT_NE(hotspot, nullptr);
+  Session first("hotspot.c", hotspot->unoptimized);
+  ASSERT_TRUE(first.run());
+  const std::string hotspotRewrite = first.rewrite();
+
+  struct Input {
+    std::string name;
+    std::string source;
+    std::vector<Diagnostic> diagnostics; // what 0.4.0 replayed on a hit
+  };
+  const std::vector<Input> inputs = {
+      {"extent.c", unknownExtent,
+       {{Severity::Warning, SourceLocation{},
+         "cannot determine extent of pointer 'p'; mapping requires a known "
+         "allocation size"}}},
+      {"hotspot.c", hotspotRewrite, {}},
+  };
+  for (const Input &input : inputs) {
+    for (const bool current : {false, true}) {
+      TempDir dir("pre-fail-closed");
+      cache::PlanCache planCache(dir.str(), cache::CacheMode::ReadWrite);
+      cache::CacheKey key;
+      key.sourceHash = hash::fingerprint(input.source);
+      key.configHash = planFingerprint(PipelineConfig{});
+      key.toolVersion = current ? kToolVersion : "0.4.0";
+      // The stored IR stays empty: an entry under a matching key is served
+      // as a success whatever plan it holds.
+      cache::CacheEntry entry;
+      entry.fileName = input.name;
+      entry.diagnostics = input.diagnostics;
+      entry.irFingerprint = entry.ir.fingerprint();
+      planCache.store(key, entry);
+
+      PipelineConfig config;
+      config.planCache = &planCache;
+      Session session(input.name, input.source, config);
+      const bool ok = session.run();
+      if (current) {
+        // Control: the same entry under the current key is served, so the
+        // version alone is what turns the old entry into a miss.
+        EXPECT_EQ(session.planCacheStatus(), Session::PlanCacheStatus::Hit)
+            << input.name;
+        continue;
+      }
+      EXPECT_EQ(session.planCacheStatus(), Session::PlanCacheStatus::Miss)
+          << input.name;
+      EXPECT_FALSE(ok) << input.name;
+      EXPECT_EQ(session.rewrite(), input.source) << input.name;
+    }
+  }
+}
+
 TEST(PlanCacheTest, EntryJsonRoundTripsThroughDisk) {
   TempDir dir("roundtrip");
   Session cold("prog.c", kKernelSource, cachedConfig(dir.str()));

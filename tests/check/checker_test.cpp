@@ -46,7 +46,7 @@ std::string loadRegression(const std::string &name) {
 struct PlannedProgram {
   explicit PlannedProgram(const std::string &name)
       : session(name, loadRegression(name)) {
-    session.plan();
+    session.ir();
   }
 
   [[nodiscard]] const ir::MappingIr &ir() { return session.ir(); }

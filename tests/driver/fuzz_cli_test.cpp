@@ -2,52 +2,24 @@
 // --fuzz / --gen-seed / --shrink, deterministic same-seed => same-corpus
 // output, manifest emission under -o, and the JSON report shape. Drives
 // the real ompdart_cli binary (skipped when examples were not built).
+#include "../common/cli_runner.hpp"
 #include "support/json.hpp"
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
-#include <sys/wait.h>
-
-#ifndef OMPDART_BINARY_DIR
-#define OMPDART_BINARY_DIR "."
-#endif
 
 namespace ompdart {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path cliPath() { return fs::path(OMPDART_BINARY_DIR) / "ompdart_cli"; }
-
-struct CliResult {
-  int exitCode = -1;
-  std::string output; ///< stdout only
-};
-
-CliResult runCli(const std::string &args) {
-  CliResult result;
-  const std::string command =
-      cliPath().string() + " " + args + " 2>/dev/null";
-  FILE *pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr)
-    return result;
-  std::array<char, 4096> buffer;
-  std::size_t n = 0;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0)
-    result.output.append(buffer.data(), n);
-  const int status = pclose(pipe);
-  result.exitCode = (status >= 0 && WIFEXITED(status))
-                        ? WEXITSTATUS(status)
-                        : -1;
-  return result;
-}
+using test::cliPath;
+using test::CliResult;
+using test::runCli;
 
 class FuzzCliTest : public ::testing::Test {
 protected:

@@ -39,7 +39,7 @@ TEST(SessionTest, StagesAreLazy) {
 
 TEST(SessionTest, PlanPullsItsDependenciesOnly) {
   Session session("deps.c", kQuickstartSource);
-  session.plan();
+  session.ir();
   EXPECT_EQ(session.stageRuns(Stage::Parse), 1u);
   EXPECT_EQ(session.stageRuns(Stage::Cfg), 1u);
   EXPECT_EQ(session.stageRuns(Stage::Interproc), 1u);
@@ -51,8 +51,8 @@ TEST(SessionTest, PlanPullsItsDependenciesOnly) {
 
 TEST(SessionTest, SecondPlanCallDoesNoReanalysis) {
   Session session("cache.c", kQuickstartSource);
-  const MappingPlan &first = session.plan();
-  const MappingPlan &second = session.plan();
+  const ir::MappingIr &first = session.ir();
+  const ir::MappingIr &second = session.ir();
   // Same cached artifact, not a recomputation.
   EXPECT_EQ(&first, &second);
   for (const Stage stage :
@@ -210,6 +210,37 @@ int main() {
   Session fixedPoint("ip.c", source);
   EXPECT_TRUE(fixedPoint.run());
   EXPECT_GE(fixedPoint.interproc().passes, 1u);
+}
+
+TEST(SessionTest, UnknownPointerExtentFailsClosed) {
+  // `p` is indexed by a runtime `k` only, so no extent can be inferred:
+  // planning must fail with one error instead of mapping `p[0:0]`.
+  const std::string source = R"(
+void f(double *p, int k, int n) {
+  for (int t = 0; t < n; ++t) {
+    #pragma omp target
+    {
+      p[k] = t;
+    }
+    p[k] += 1.0;
+    #pragma omp target
+    {
+      p[k] *= 2.0;
+    }
+  }
+}
+)";
+  Session session("extent.c", source);
+  EXPECT_FALSE(session.run());
+  EXPECT_EQ(session.rewrite(), source);
+  unsigned errors = 0;
+  for (const Diagnostic &diag : session.diagnostics().diagnostics())
+    if (diag.severity == Severity::Error &&
+        diag.message.find("cannot determine extent of pointer 'p'") !=
+            std::string::npos)
+      ++errors;
+  EXPECT_EQ(errors, 1u);
+  EXPECT_EQ(session.ir().toJson().dump().find("p[0:0]"), std::string::npos);
 }
 
 } // namespace

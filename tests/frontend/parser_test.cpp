@@ -10,6 +10,58 @@ namespace {
 
 using test::parse;
 
+/// `depth` nested parentheses around a literal, in a return statement.
+std::string nestedParens(std::size_t depth) {
+  return "int f(void) { return " + std::string(depth, '(') + "1" +
+         std::string(depth, ')') + "; }";
+}
+
+/// A sum of `terms` operands: a left-deep tree `terms - 1` levels deep.
+std::string longSum(std::size_t terms) {
+  std::string sum = "a";
+  for (std::size_t i = 1; i < terms; ++i)
+    sum += " + a";
+  return "int f(int a) { return " + sum + "; }";
+}
+
+/// An if/else-if chain of `arms` arms: each else branch nests one deeper.
+std::string elseIfChain(std::size_t arms) {
+  std::string chain;
+  for (std::size_t i = 0; i < arms; ++i)
+    chain += (i == 0 ? "if (a == " : " else if (a == ") + std::to_string(i) +
+             ") return " + std::to_string(i) + ";";
+  return "int f(int a) { " + chain + " return -1; }";
+}
+
+/// `depth` nested compound statements.
+std::string nestedBlocks(std::size_t depth) {
+  return "void g(void) { " + std::string(depth, '{') + "return; " +
+         std::string(depth, '}') + " }";
+}
+
+TEST(ParserTest, NestingPastTheDepthLimitIsOneError) {
+  // Legal C well past clang's default bracket depth of 256 still parses,
+  // and statements count toward the same budget as expressions.
+  for (const std::string &source :
+       {nestedParens(256), nestedParens(500), longSum(1000), elseIfChain(300),
+        elseIfChain(500), nestedBlocks(256)}) {
+    auto parsed = parse(source);
+    EXPECT_TRUE(parsed.ok) << parsed.diags->summary().substr(0, 400);
+  }
+
+  for (const std::string &source :
+       {nestedParens(600), nestedParens(200000), longSum(1100),
+        longSum(200000), elseIfChain(600), nestedBlocks(600)}) {
+    auto parsed = parse(source);
+    EXPECT_FALSE(parsed.ok);
+    ASSERT_EQ(parsed.diags->diagnostics().size(), 1u)
+        << parsed.diags->summary().substr(0, 400);
+    EXPECT_NE(parsed.diags->diagnostics()[0].message.find(
+                  "nesting exceeds the maximum depth of 1024"),
+              std::string::npos);
+  }
+}
+
 TEST(ParserTest, GlobalVariable) {
   auto parsed = parse("int counter = 3;");
   ASSERT_TRUE(parsed.ok) << parsed.diags->summary();

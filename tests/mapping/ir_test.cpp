@@ -1,5 +1,5 @@
 // Mapping IR tests: map-type lattice laws, tgt_map_type flag encoding,
-// JSON round-trips (handcrafted, property-generated, and lifted from real
+// JSON round-trips (handcrafted, property-generated, and planned by real
 // Sessions), and the self-containment guarantee — a serialized IR plus the
 // original buffer reproduce the transformed source without any AST.
 #include "driver/pipeline.hpp"
@@ -329,7 +329,7 @@ TEST(IrJsonTest, PropertyRandomIrsRoundTrip) {
   }
 }
 
-// --- Lifting from real Sessions ---
+// --- IRs planned by real Sessions ---
 
 const char *const kSaxpySource =
     R"(void saxpy(double *x, double *y, int n) {
@@ -347,14 +347,10 @@ TEST(IrLiftTest, SessionIrMatchesThePlan) {
   Session session("saxpy.c", kSaxpySource);
   ASSERT_TRUE(session.run());
   const ir::MappingIr &ir = session.ir();
-  const MappingPlan &plan = session.plan();
 
   EXPECT_EQ(ir.file, "saxpy.c");
-  ASSERT_EQ(ir.regions.size(), plan.regions.size());
   const ir::Region *region = ir.regionFor("saxpy");
   ASSERT_NE(region, nullptr);
-  EXPECT_EQ(region->maps.size(), plan.regions.front().maps.size());
-  EXPECT_EQ(ir.totalUpdates(), plan.totalUpdates());
 
   // Every referenced symbol resolves in the symbol table, by id and name.
   for (const ir::MapItem &map : region->maps) {

@@ -1,5 +1,6 @@
 #include "../common/test_util.hpp"
 
+#include "analysis/execution.hpp"
 #include "analysis/interproc.hpp"
 #include "mapping/planner.hpp"
 
@@ -12,7 +13,7 @@ struct PlanFixture {
   test::ParsedUnit parsed;
   InterproceduralResult interproc;
   DiagnosticEngine planDiags;
-  MappingPlan plan;
+  ir::MappingIr plan;
 
   explicit PlanFixture(const std::string &source,
                        PlannerOptions options = {})
@@ -22,17 +23,37 @@ struct PlanFixture {
     plan = planMappings(parsed.unit(), interproc, planDiags, options);
   }
 
-  const RegionPlan *region(const std::string &fnName = "f") const {
-    return plan.regionFor(parsed.function(fnName));
+  const ir::Region *region(const std::string &fnName = "f") const {
+    return plan.regionFor(fnName);
   }
-  const MapSpec *mapOf(const std::string &varName,
-                       const std::string &fnName = "f") const {
-    const RegionPlan *r = region(fnName);
+  /// Name of the variable behind a plan item.
+  std::string nameOf(ir::SymbolId id) const {
+    const ir::Symbol *symbol = plan.symbol(id);
+    return symbol != nullptr ? symbol->name : std::string();
+  }
+  const ir::MapItem *mapOf(const std::string &varName,
+                           const std::string &fnName = "f") const {
+    const ir::Region *r = region(fnName);
     if (r == nullptr)
       return nullptr;
-    for (const MapSpec &spec : r->maps)
-      if (spec.var->name() == varName)
-        return &spec;
+    for (const ir::MapItem &map : r->maps)
+      if (nameOf(map.symbol) == varName)
+        return &map;
+    return nullptr;
+  }
+  /// The statement of `fnName` an anchor references (the outermost one
+  /// when several share its source range); null when none does.
+  const Stmt *stmtAt(const ir::StmtAnchor &anchor,
+                     const std::string &fnName = "f") const {
+    auto spans = [&](const Stmt *stmt) {
+      return stmt != nullptr &&
+             stmt->range().begin.offset == anchor.beginOffset &&
+             stmt->range().end.offset == anchor.endOffset;
+    };
+    for (const auto &[child, parent] :
+         ParentMap(parsed.function(fnName)).takeLinks())
+      if (spans(child) && !spans(parent))
+        return child;
     return nullptr;
   }
 };
@@ -49,16 +70,18 @@ void f(int *a, int n) {
   }
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
   // Region anchors at the outer loop, not the kernel.
-  EXPECT_EQ(region->startStmt->kind(), StmtKind::For);
-  EXPECT_EQ(region->startStmt, region->endStmt);
-  EXPECT_FALSE(region->appendsToKernel());
-  const MapSpec *a = fx.mapOf("a");
+  const Stmt *start = fx.stmtAt(region->start);
+  ASSERT_NE(start, nullptr);
+  EXPECT_EQ(start->kind(), StmtKind::For);
+  EXPECT_EQ(start, fx.stmtAt(region->end));
+  EXPECT_FALSE(region->appendsToKernel);
+  const ir::MapItem *a = fx.mapOf("a");
   ASSERT_NE(a, nullptr);
   // Device read-modify-writes + escaping pointer param: tofrom.
-  EXPECT_EQ(a->mapType, OmpMapType::ToFrom);
+  EXPECT_EQ(a->type, ir::MapType::ToFrom);
   // No per-iteration updates are needed: the host never touches `a` inside.
   EXPECT_TRUE(region->updates.empty());
 }
@@ -77,9 +100,9 @@ void f(int *a, int n) {
   }
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
-  EXPECT_NE(region->startStmt, region->endStmt);
+  EXPECT_NE(fx.stmtAt(region->start), fx.stmtAt(region->end));
   // One mapping for `a`, no updates between the kernels.
   ASSERT_EQ(region->maps.size(), 1u);
   EXPECT_TRUE(region->updates.empty());
@@ -102,18 +125,20 @@ void f(int *a, int n, int m) {
   a[0] = sum;
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
   // One update-from for `a`, hoisted before the host summation loop (the j
   // loop indexes it) but inside the outer i loop (producer kernel inside).
   ASSERT_EQ(region->updates.size(), 1u);
-  const UpdateInsertion &update = region->updates[0];
-  EXPECT_EQ(update.direction, UpdateDirection::From);
-  EXPECT_EQ(update.var->name(), "a");
+  const ir::UpdateItem &update = region->updates[0];
+  EXPECT_EQ(update.direction, ir::UpdateDirection::From);
+  EXPECT_EQ(fx.nameOf(update.symbol), "a");
   EXPECT_TRUE(update.hoisted);
-  ASSERT_EQ(update.anchor->kind(), StmtKind::For);
+  const Stmt *anchor = fx.stmtAt(update.anchor);
+  ASSERT_NE(anchor, nullptr);
+  ASSERT_EQ(anchor->kind(), StmtKind::For);
   // The anchor loop must be *inside* the outer loop (not the outer loop).
-  EXPECT_NE(update.anchor, region->startStmt);
+  EXPECT_NE(anchor, fx.stmtAt(region->start));
 }
 
 // --- firstprivate for read-only scalars (paper §IV-D) ---
@@ -127,13 +152,13 @@ void f(double *a, int n) {
   }
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
   EXPECT_EQ(fx.mapOf("factor"), nullptr);
   // Both read-only scalars (factor and the loop bound n) privatize.
   bool factorPrivatized = false;
-  for (const FirstprivateInsertion &fp : region->firstprivates)
-    factorPrivatized |= fp.var->name() == "factor";
+  for (const ir::FirstprivateItem &fp : region->firstprivates)
+    factorPrivatized |= fx.nameOf(fp.symbol) == "factor";
   EXPECT_TRUE(factorPrivatized);
   EXPECT_EQ(fx.mapOf("n"), nullptr);
 }
@@ -151,12 +176,12 @@ void f(double *a, int n) {
 }
 )",
                  options);
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
   EXPECT_TRUE(region->firstprivates.empty());
-  const MapSpec *factor = fx.mapOf("factor");
+  const ir::MapItem *factor = fx.mapOf("factor");
   ASSERT_NE(factor, nullptr);
-  EXPECT_EQ(factor->mapType, OmpMapType::To);
+  EXPECT_EQ(factor->type, ir::MapType::To);
 }
 
 TEST(PlannerTest, DeviceWrittenScalarNotFirstprivate) {
@@ -170,14 +195,14 @@ void f(double *a, int n) {
   a[0] = sum;
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
-  const MapSpec *sum = fx.mapOf("sum");
+  const ir::MapItem *sum = fx.mapOf("sum");
   ASSERT_NE(sum, nullptr);
   // Written on device and read on host after: tofrom.
-  EXPECT_EQ(sum->mapType, OmpMapType::ToFrom);
-  for (const FirstprivateInsertion &fp : region->firstprivates)
-    EXPECT_NE(fp.var->name(), "sum");
+  EXPECT_EQ(sum->type, ir::MapType::ToFrom);
+  for (const ir::FirstprivateItem &fp : region->firstprivates)
+    EXPECT_NE(fx.nameOf(fp.symbol), "sum");
 }
 
 // --- map-type decisions ---
@@ -192,9 +217,9 @@ void f(double *out, int n) {
 )");
   // out's malloc extent is unknown but it is fully written by the kernel
   // loop bound `n`; device never reads it -> map(from:), not tofrom.
-  const MapSpec *out = fx.mapOf("out");
+  const ir::MapItem *out = fx.mapOf("out");
   ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->mapType, OmpMapType::From);
+  EXPECT_EQ(out->type, ir::MapType::From);
 }
 
 TEST(PlannerTest, ReadOnlyArrayGetsToOnly) {
@@ -206,9 +231,9 @@ void f(const double *in, double *out, int n) {
   }
 }
 )");
-  const MapSpec *in = fx.mapOf("in");
+  const ir::MapItem *in = fx.mapOf("in");
   ASSERT_NE(in, nullptr);
-  EXPECT_EQ(in->mapType, OmpMapType::To);
+  EXPECT_EQ(in->type, ir::MapType::To);
 }
 
 TEST(PlannerTest, ScratchArrayGetsAlloc) {
@@ -227,9 +252,9 @@ void f(double *out, int n) {
 )");
   // scratch is written (full coverage) then read, only on the device, and
   // never read on the host afterwards: alloc.
-  const MapSpec *scratch = fx.mapOf("scratch");
+  const ir::MapItem *scratch = fx.mapOf("scratch");
   ASSERT_NE(scratch, nullptr);
-  EXPECT_EQ(scratch->mapType, OmpMapType::Alloc);
+  EXPECT_EQ(scratch->type, ir::MapType::Alloc);
 }
 
 TEST(PlannerTest, PartialDeviceWriteNeedsTo) {
@@ -242,11 +267,11 @@ void f(double *a, int n) {
   a[0] = a[n - 1];
 }
 )");
-  const MapSpec *a = fx.mapOf("a");
+  const ir::MapItem *a = fx.mapOf("a");
   ASSERT_NE(a, nullptr);
   // Only half the array is written: the rest must be copied in so the
   // copy-out does not clobber valid host data.
-  EXPECT_EQ(a->mapType, OmpMapType::ToFrom);
+  EXPECT_EQ(a->type, ir::MapType::ToFrom);
 }
 
 // --- update-to for host writes between kernels ---
@@ -266,16 +291,16 @@ void f(double *a, double *b, int n) {
   }
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
   bool sawUpdateToA = false;
   bool sawUpdateFromB = false;
-  for (const UpdateInsertion &update : region->updates) {
-    if (update.var->name() == "a" &&
-        update.direction == UpdateDirection::To)
+  for (const ir::UpdateItem &update : region->updates) {
+    if (fx.nameOf(update.symbol) == "a" &&
+        update.direction == ir::UpdateDirection::To)
       sawUpdateToA = true;
-    if (update.var->name() == "b" &&
-        update.direction == UpdateDirection::From)
+    if (fx.nameOf(update.symbol) == "b" &&
+        update.direction == ir::UpdateDirection::From)
       sawUpdateFromB = true;
   }
   EXPECT_TRUE(sawUpdateToA);
@@ -318,9 +343,9 @@ void f(int n) {
   free(a);
 }
 )");
-  const MapSpec *a = fx.mapOf("a");
+  const ir::MapItem *a = fx.mapOf("a");
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->section, "a[0:n]");
+  EXPECT_EQ(a->item, "a[0:n]");
 }
 
 TEST(PlannerTest, UnknownPointerExtentWarns) {
@@ -332,10 +357,8 @@ void f(double *a, int n) {
   }
 }
 )");
-  // Extent of `a` is inferable from the kernel loop? No: section falls back
-  // to a warning with a[0:0] OR uses bounds -> accept either but require a
-  // diagnostic-free plan to still exist.
-  const RegionPlan *region = fx.region();
+  // The kernel loop bound `n` sizes `a`, so a plan still exists.
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
 }
 
@@ -379,10 +402,10 @@ void f() {
   a[0] = x;
 }
 )");
-  const MapSpec *a = fx.mapOf("a");
+  const ir::MapItem *a = fx.mapOf("a");
   ASSERT_NE(a, nullptr);
   // Device only touches a[0:100) of the 1024-element array.
-  EXPECT_EQ(a->section, "a[0:100]");
+  EXPECT_EQ(a->item, "a[0:100]");
   EXPECT_EQ(a->approxBytes, 100u * 8u);
 }
 
@@ -401,10 +424,10 @@ void f(int *a, int n) {
 }
 )",
                  options);
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
   // Region collapses onto the kernel itself.
-  EXPECT_TRUE(region->appendsToKernel());
+  EXPECT_TRUE(region->appendsToKernel);
 }
 
 // --- interprocedural motif: kernel in callee ---
@@ -423,9 +446,9 @@ void f(double *data, int n) {
 }
 )");
   // The callee containing the kernel gets its own region.
-  const RegionPlan *stage = fx.region("stage");
+  const ir::Region *stage = fx.region("stage");
   ASSERT_NE(stage, nullptr);
-  EXPECT_TRUE(stage->appendsToKernel());
+  EXPECT_TRUE(stage->appendsToKernel);
 }
 
 TEST(PlannerTest, NoKernelsNoRegion) {
@@ -453,19 +476,21 @@ void f(double *partial_sum, double *hidden, int hid, int num_blocks) {
   }
 }
 )");
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
-  const UpdateInsertion *fromUpdate = nullptr;
-  for (const UpdateInsertion &update : region->updates)
-    if (update.var->name() == "partial_sum" &&
-        update.direction == UpdateDirection::From)
+  const ir::UpdateItem *fromUpdate = nullptr;
+  for (const ir::UpdateItem &update : region->updates)
+    if (fx.nameOf(update.symbol) == "partial_sum" &&
+        update.direction == ir::UpdateDirection::From)
       fromUpdate = &update;
   ASSERT_NE(fromUpdate, nullptr);
   // Must be hoisted to the outermost (j) loop, not sit in the k loop.
   EXPECT_TRUE(fromUpdate->hoisted);
-  ASSERT_EQ(fromUpdate->anchor->kind(), StmtKind::For);
+  const Stmt *anchor = fx.stmtAt(fromUpdate->anchor);
+  ASSERT_NE(anchor, nullptr);
+  ASSERT_EQ(anchor->kind(), StmtKind::For);
   // The anchor must be the j loop: its init declares `j`.
-  const auto *anchorLoop = static_cast<const ForStmt *>(fromUpdate->anchor);
+  const auto *anchorLoop = static_cast<const ForStmt *>(anchor);
   const auto *init = dynamic_cast<const DeclStmt *>(anchorLoop->init());
   ASSERT_NE(init, nullptr);
   EXPECT_EQ(init->decls()[0]->name(), "j");
@@ -492,15 +517,17 @@ void f(double *partial_sum, double *hidden, int hid, int num_blocks) {
 }
 )",
                  options);
-  const RegionPlan *region = fx.region();
+  const ir::Region *region = fx.region();
   ASSERT_NE(region, nullptr);
-  const UpdateInsertion *fromUpdate = nullptr;
-  for (const UpdateInsertion &update : region->updates)
-    if (update.var->name() == "partial_sum")
+  const ir::UpdateItem *fromUpdate = nullptr;
+  for (const ir::UpdateItem &update : region->updates)
+    if (fx.nameOf(update.symbol) == "partial_sum")
       fromUpdate = &update;
   ASSERT_NE(fromUpdate, nullptr);
   EXPECT_FALSE(fromUpdate->hoisted);
-  EXPECT_NE(fromUpdate->anchor->kind(), StmtKind::For);
+  const Stmt *anchor = fx.stmtAt(fromUpdate->anchor);
+  ASSERT_NE(anchor, nullptr);
+  EXPECT_NE(anchor->kind(), StmtKind::For);
 }
 
 } // namespace

@@ -190,6 +190,47 @@ TEST(PlanServiceTest, PlanMatchesOneShotSessionByteForByte) {
   EXPECT_EQ(stats.tusPlanned, 1u);
 }
 
+TEST(PlanServiceTest, DeeplyNestedSourceFailsAndServiceKeepsServing) {
+  PlanService service(ServiceOptions{});
+  constexpr std::size_t kDepth = 200000;
+  const std::string deep = "int f(void) { return " +
+                           std::string(kDepth, '(') + "1" +
+                           std::string(kDepth, ')') + "; }\n";
+  json::Value request = planRequest("deep.c", deep, 1);
+  request.set("report", json::Value(true));
+  const json::Value response = service.handleLine(request.dump(false));
+  const json::Value *result = response.find("result");
+  ASSERT_NE(result, nullptr) << response.dump(false).substr(0, 400);
+  EXPECT_FALSE(result->boolOr("success", true));
+  const json::Value *report = result->find("report");
+  ASSERT_NE(report, nullptr);
+  EXPECT_NE(report->dump(false).find("nesting exceeds the maximum depth"),
+            std::string::npos);
+
+  // The same service answers the next request normally.
+  const json::Value next =
+      service.handleLine(planRequest("kernel.c", kKernelSource, 2).dump(false));
+  ASSERT_TRUE(next.boolOr("ok", false));
+  const json::Value *nextResult = next.find("result");
+  ASSERT_NE(nextResult, nullptr);
+  EXPECT_TRUE(nextResult->boolOr("success", false));
+  EXPECT_EQ(nextResult->stringOr("output", ""),
+            oneShotOutput("kernel.c", kKernelSource));
+}
+
+TEST(PlanServiceTest, DeeplyNestedRequestIsAnErrorReply) {
+  PlanService service(ServiceOptions{});
+  const std::string line =
+      std::string(200000, '[') + std::string(200000, ']');
+  const json::Value response = service.handleLine(line);
+  EXPECT_FALSE(response.boolOr("ok", true));
+  EXPECT_NE(response.stringOr("error", "").find("nesting exceeds"),
+            std::string::npos);
+  EXPECT_TRUE(service.handleLine(planRequest("kernel.c", kKernelSource, 2)
+                                     .dump(false))
+                  .boolOr("ok", false));
+}
+
 TEST(PlanServiceTest, UnknownConfigOverrideKeyIsRejected) {
   PlanService service(ServiceOptions{});
   for (const char *key : {"notAKnob", "costModel"}) {

@@ -76,7 +76,7 @@ TEST(ArenaTest, AstOutlivesSessionViaSharedContext) {
     }
     int main(void) {
       fill(64);
-      #pragma omp target teams distribute parallel for map(tofrom: data)
+      #pragma omp target teams distribute parallel for
       for (int i = 0; i < 64; ++i)
         data[i] = data[i] * 2;
       return 0;

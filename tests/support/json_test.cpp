@@ -27,6 +27,20 @@ TEST(JsonTest, ScalarsSerializeAndParse) {
   EXPECT_DOUBLE_EQ(json::Value::parse("1e3")->asDouble(), 1000.0);
 }
 
+TEST(JsonTest, NestingPastTheDepthLimitIsAnError) {
+  auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(json::Value::parse(nested(256)).has_value());
+  for (const std::size_t depth : {257u, 200000u}) {
+    std::string error;
+    EXPECT_FALSE(json::Value::parse(nested(depth), &error).has_value());
+    EXPECT_NE(error.find("nesting exceeds the maximum depth"),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST(JsonTest, LargeIntegersSurviveExactly) {
   const std::uint64_t big = (1ull << 53) + 1; // not representable as double
   json::Value value(big);

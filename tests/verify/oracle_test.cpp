@@ -159,6 +159,48 @@ int main() {
   EXPECT_FALSE(verdict.transferBounded) << verdict.divergence();
 }
 
+TEST(OracleTest, NestingJustUnderTheDepthLimitRunsEveryStage) {
+  // A kernel expression nested 256 parentheses deep, a 300-arm else-if
+  // chain in the kernel and a 1,000-term host sum: planning, checking,
+  // rewriting and both interpreter legs recurse through these trees.
+  std::string deep = "data[i] * 2.0";
+  for (int level = 0; level < 256; ++level)
+    deep = "(" + deep + ")";
+  std::string arms = "      if (i == 0) data[i] = 0.5;";
+  for (int arm = 1; arm < 300; ++arm)
+    arms += " else if (i == " + std::to_string(arm) + ") data[i] += " +
+            std::to_string(arm) + ".0;";
+  std::string sum = "sum";
+  for (int term = 0; term < 1000; ++term)
+    sum += " + data[i]";
+  const std::string source = "double data[64];\n"
+                             "int main() {\n"
+                             "  for (int i = 0; i < 64; ++i)\n"
+                             "    data[i] = i;\n"
+                             "  #pragma omp target teams distribute parallel "
+                             "for\n"
+                             "  for (int i = 0; i < 64; ++i) {\n"
+                             "    data[i] = " +
+                             deep +
+                             ";\n" + arms +
+                             "\n"
+                             "  }\n"
+                             "  double sum = 0.0;\n"
+                             "  for (int i = 0; i < 64; ++i)\n"
+                             "    sum = " +
+                             sum +
+                             ";\n"
+                             "  printf(\"%.1f\\n\", sum);\n"
+                             "  return 0;\n"
+                             "}\n";
+  verify::OracleOptions options;
+  options.checkRewrite = true;
+  const auto verdict = verify::runOracle("deep.c", source,
+                                         /*provableTrips=*/true, options);
+  EXPECT_TRUE(verdict.ok) << verdict.error << verdict.divergence();
+  EXPECT_TRUE(verdict.rewriteChecked);
+}
+
 TEST(OracleTest, UnresolvedExtentSkipsPredictedInvariant) {
   // Disagreeing call-site constants leave the callee map's extent
   // symbolic (approxBytes 0): the plan stays correct but is not
