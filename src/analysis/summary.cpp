@@ -181,27 +181,74 @@ std::optional<ModuleSummary> ModuleSummary::fromJson(const json::Value &value,
 
 namespace {
 
-/// Drops source-location members ("line", "callerFile") recursively.
-/// Fingerprints must cover facts, not positions: a comment added above a
-/// call site shifts its line but changes no analysis fact, and must not
-/// invalidate dependents' cached plans.
-json::Value scrubLocations(const json::Value &value) {
+/// Source-location members. Fingerprints must cover facts, not positions:
+/// a comment added above a call site shifts its line but changes no
+/// analysis fact, and must not invalidate dependents' cached plans.
+bool isLocationKey(const std::string &key) {
+  return key == "line" || key == "callerFile";
+}
+
+/// Appends `"key":` to an object body, with a comma after the first.
+void appendKey(std::string &out, const std::string &key, bool &first) {
+  if (!first)
+    out += ',';
+  first = false;
+  out += '"';
+  out += json::escape(key);
+  out += "\":";
+}
+
+/// Appends the compact serialization of `value` minus its location members
+/// (at any depth): byte-identical to dumping a scrubbed copy, without
+/// building one.
+void dumpWithoutLocations(const json::Value &value, std::string &out) {
   if (value.isObject()) {
-    json::Value out = json::Value::object();
+    out += '{';
+    bool first = true;
     for (const auto &[key, member] : value.members()) {
-      if (key == "line" || key == "callerFile")
+      if (isLocationKey(key))
         continue;
-      out.set(key, scrubLocations(member));
+      appendKey(out, key, first);
+      dumpWithoutLocations(member, out);
     }
-    return out;
+    out += '}';
+    return;
   }
   if (value.isArray()) {
-    json::Value out = json::Value::array();
-    for (const json::Value &item : value.items())
-      out.push(scrubLocations(item));
-    return out;
+    out += '[';
+    bool first = true;
+    for (const json::Value &item : value.items()) {
+      if (!first)
+        out += ',';
+      first = false;
+      dumpWithoutLocations(item, out);
+    }
+    out += ']';
+    return;
   }
-  return value;
+  // Scalars as Value::dump writes them, minus a temporary string for the
+  // common kinds.
+  switch (value.kind()) {
+  case json::Value::Kind::Bool:
+    out += value.asBool() ? "true" : "false";
+    return;
+  case json::Value::Kind::Int:
+    out += std::to_string(value.asInt());
+    return;
+  case json::Value::Kind::String:
+    out += '"';
+    out += json::escape(value.asString());
+    out += '"';
+    return;
+  default:
+    out += value.dump(/*pretty=*/false);
+  }
+}
+
+std::string locationFreeFingerprint(const json::Value &value) {
+  std::string text;
+  dumpWithoutLocations(value, text);
+  return hash::fingerprint(text);
 }
 
 } // namespace
@@ -211,8 +258,7 @@ std::string ModuleSummary::fingerprint() const {
   // its embedding in static-function linked names — is normalized away.
   ModuleSummary normalized = *this;
   normalized.rebindFile("");
-  json::Value doc = scrubLocations(normalized.toJson());
-  return hash::fingerprint(doc.dump(/*pretty=*/false));
+  return locationFreeFingerprint(normalized.toJson());
 }
 
 void ModuleSummary::rebindFile(const std::string &newFile) {
@@ -385,6 +431,15 @@ void mergePessimisticEdge(PortableSummary &caller, const CallEdge &edge) {
 
 LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
                        LinkOptions options) {
+  std::vector<const ModuleSummary *> pointers;
+  pointers.reserve(modules.size());
+  for (const ModuleSummary &module : modules)
+    pointers.push_back(&module);
+  return linkProgram(pointers, options);
+}
+
+LinkResult linkProgram(const std::vector<const ModuleSummary *> &modules,
+                       LinkOptions options) {
   LinkResult result;
 
   // Definition index + duplicate detection (first definition wins,
@@ -394,7 +449,7 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
   std::map<std::string, std::size_t> ownerIndex;
   for (std::size_t moduleIndex = 0; moduleIndex < modules.size();
        ++moduleIndex) {
-    const ModuleSummary &module = modules[moduleIndex];
+    const ModuleSummary &module = *modules[moduleIndex];
     for (const FunctionArtifact &artifact : module.functions) {
       const std::string &name = artifact.direct.function;
       auto [it, inserted] = ownerIndex.emplace(name, moduleIndex);
@@ -403,7 +458,7 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
         diag.severity = Severity::Warning;
         diag.message = "duplicate definition of '" + name + "' in " +
                        module.file + " (already defined in " +
-                       modules[it->second].file +
+                       modules[it->second]->file +
                        "); the first definition wins";
         result.diagnostics.push_back(std::move(diag));
         continue;
@@ -419,7 +474,8 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
 
   // Signature checks: a TU's prototype must match the defining TU's
   // signature, or that TU keeps the pessimistic treatment for the callee.
-  for (const ModuleSummary &module : modules) {
+  for (const ModuleSummary *entry : modules) {
+    const ModuleSummary &module = *entry;
     for (const ExternRef &ref : module.externs) {
       auto closedIt = result.closed.find(ref.function);
       if (closedIt == result.closed.end())
@@ -459,7 +515,7 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
   std::vector<FunctionWork> work;
   for (std::size_t moduleIndex = 0; moduleIndex < modules.size();
        ++moduleIndex) {
-    const ModuleSummary &module = modules[moduleIndex];
+    const ModuleSummary &module = *modules[moduleIndex];
     const std::set<std::string> *mismatches = nullptr;
     auto mismatchIt = result.signatureMismatches.find(module.file);
     if (mismatchIt != result.signatureMismatches.end())
@@ -517,7 +573,8 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
   // Whole-program execution estimation over the same weighted-graph
   // estimator the per-TU planner uses.
   WeightedCallGraph graph;
-  for (const ModuleSummary &module : modules) {
+  for (const ModuleSummary *entry : modules) {
+    const ModuleSummary &module = *entry;
     for (const FunctionArtifact &artifact : module.functions)
       graph.addFunction(artifact.direct.function);
     for (const ExternRef &ref : module.externs)
@@ -526,7 +583,7 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
   for (std::size_t moduleIndex = 0; moduleIndex < modules.size();
        ++moduleIndex) {
     for (const FunctionArtifact &artifact :
-         modules[moduleIndex].functions) {
+         modules[moduleIndex]->functions) {
       if (!owns(artifact.direct.function, moduleIndex))
         continue;
       for (const CallEdge &edge : artifact.calls)
@@ -541,7 +598,7 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
   // must not pollute the facts (or force spurious disagreements).
   for (std::size_t moduleIndex = 0; moduleIndex < modules.size();
        ++moduleIndex) {
-    const ModuleSummary &module = modules[moduleIndex];
+    const ModuleSummary &module = *modules[moduleIndex];
     for (const FunctionArtifact &artifact : module.functions) {
       if (!owns(artifact.direct.function, moduleIndex))
         continue;
@@ -572,6 +629,52 @@ LinkResult linkProgram(const std::vector<ModuleSummary> &modules,
 // Per-TU imports
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// One function's per-parameter call-site facts, as TuImports serializes
+/// them.
+json::Value
+paramFactsJson(const std::vector<std::vector<ParamCallFact>> &perParam) {
+  json::Value paramsJson = json::Value::array();
+  for (const auto &facts : perParam) {
+    json::Value siteJson = json::Value::array();
+    for (const ParamCallFact &fact : facts) {
+      json::Value factJson = json::Value::object();
+      factJson.set("callerFile", fact.callerFile);
+      factJson.set("line", fact.line);
+      factJson.set("tracked", fact.tracked);
+      if (fact.constValue)
+        factJson.set("constValue", *fact.constValue);
+      factJson.set("extentKnown", fact.extentKnown);
+      if (fact.extentConstElems)
+        factJson.set("extentConstElems", *fact.extentConstElems);
+      if (!fact.extentSpelling.empty())
+        factJson.set("extentSpelling", fact.extentSpelling);
+      siteJson.push(std::move(factJson));
+    }
+    paramsJson.push(std::move(siteJson));
+  }
+  return paramsJson;
+}
+
+/// Appends the body of a name-keyed map as a location-free JSON object,
+/// rendering each value with `valueJson`.
+template <typename Map, typename ToJson>
+void appendLocationFreeObject(std::string &out, const Map &map,
+                              ToJson valueJson) {
+  out += '{';
+  bool first = true;
+  for (const auto &[name, value] : map) {
+    if (isLocationKey(name))
+      continue;
+    appendKey(out, name, first);
+    dumpWithoutLocations(valueJson(value), out);
+  }
+  out += '}';
+}
+
+} // namespace
+
 json::Value TuImports::toJson() const {
   json::Value doc = json::Value::object();
   json::Value externalsJson = json::Value::object();
@@ -583,28 +686,8 @@ json::Value TuImports::toJson() const {
     executionsJson.set(name, count);
   doc.set("executions", std::move(executionsJson));
   json::Value factsJson = json::Value::object();
-  for (const auto &[name, perParam] : paramFacts) {
-    json::Value paramsJson = json::Value::array();
-    for (const auto &facts : perParam) {
-      json::Value siteJson = json::Value::array();
-      for (const ParamCallFact &fact : facts) {
-        json::Value factJson = json::Value::object();
-        factJson.set("callerFile", fact.callerFile);
-        factJson.set("line", fact.line);
-        factJson.set("tracked", fact.tracked);
-        if (fact.constValue)
-          factJson.set("constValue", *fact.constValue);
-        factJson.set("extentKnown", fact.extentKnown);
-        if (fact.extentConstElems)
-          factJson.set("extentConstElems", *fact.extentConstElems);
-        if (!fact.extentSpelling.empty())
-          factJson.set("extentSpelling", fact.extentSpelling);
-        siteJson.push(std::move(factJson));
-      }
-      paramsJson.push(std::move(siteJson));
-    }
-    factsJson.set(name, std::move(paramsJson));
-  }
+  for (const auto &[name, perParam] : paramFacts)
+    factsJson.set(name, paramFactsJson(perParam));
   doc.set("paramFacts", std::move(factsJson));
   return doc;
 }
@@ -612,8 +695,22 @@ json::Value TuImports::toJson() const {
 std::string TuImports::fingerprint() const {
   // Location members (call-site lines, caller file paths) serve
   // diagnostics only; scrubbing them keeps the plan-cache key insensitive
-  // to edits that move code without changing facts.
-  return hash::fingerprint(scrubLocations(toJson()).dump(/*pretty=*/false));
+  // to edits that move code without changing facts. The text is the
+  // location-free dump of toJson(), written entry by entry: in a large
+  // project the importing TU's slice has a row per linked function, and
+  // building that whole tree first would cost more than the link.
+  std::string out = "{\"externals\":";
+  appendLocationFreeObject(out, externals, [](const PortableSummary &portable) {
+    return portable.toJson();
+  });
+  out += ",\"executions\":";
+  appendLocationFreeObject(out, executions, [](std::uint64_t count) {
+    return json::Value(count);
+  });
+  out += ",\"paramFacts\":";
+  appendLocationFreeObject(out, paramFacts, paramFactsJson);
+  out += '}';
+  return hash::fingerprint(out);
 }
 
 TuImports buildTuImports(const ModuleSummary &module, const LinkResult &link) {
@@ -672,19 +769,19 @@ TuImports buildTuImports(const ModuleSummary &module, const LinkResult &link) {
 }
 
 std::vector<std::size_t>
-reverseTopologicalOrder(const std::vector<ModuleSummary> &modules) {
+reverseTopologicalOrder(const std::vector<const ModuleSummary *> &modules) {
   // Module-level dependency edges: caller-module -> callee-module. A DFS
   // post-order then yields callees before callers; ties and cycles resolve
   // by input order, so the schedule is deterministic.
   std::map<std::string, std::size_t> moduleOf;
   for (std::size_t i = 0; i < modules.size(); ++i)
-    for (const FunctionArtifact &artifact : modules[i].functions)
+    for (const FunctionArtifact &artifact : modules[i]->functions)
       moduleOf.emplace(artifact.direct.function, i);
 
   std::vector<std::vector<std::size_t>> callees(modules.size());
   for (std::size_t i = 0; i < modules.size(); ++i) {
     std::set<std::size_t> targets;
-    for (const FunctionArtifact &artifact : modules[i].functions)
+    for (const FunctionArtifact &artifact : modules[i]->functions)
       for (const CallEdge &edge : artifact.calls) {
         auto it = moduleOf.find(edge.callee);
         if (it != moduleOf.end() && it->second != i)

@@ -31,6 +31,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ompdart::summary {
@@ -150,6 +151,14 @@ struct ParamCallFact {
   bool extentKnown = false;
   std::optional<std::uint64_t> extentConstElems;
   std::string extentSpelling;
+
+  [[nodiscard]] bool operator==(const ParamCallFact &other) const {
+    return callerFile == other.callerFile && line == other.line &&
+           tracked == other.tracked && constValue == other.constValue &&
+           extentKnown == other.extentKnown &&
+           extentConstElems == other.extentConstElems &&
+           extentSpelling == other.extentSpelling;
+  }
 };
 
 struct LinkOptions {
@@ -181,6 +190,11 @@ struct LinkResult {
 /// estimation + call-site fact aggregation.
 [[nodiscard]] LinkResult
 linkProgram(const std::vector<ModuleSummary> &modules, LinkOptions options = {});
+/// The same link over summaries held elsewhere (no copies). Only the
+/// replanner, which holds its summaries behind shared pointers, needs it.
+[[nodiscard]] LinkResult
+linkProgram(const std::vector<const ModuleSummary *> &modules,
+            LinkOptions options = {});
 
 /// The per-TU slice of a link result a pipeline Session consumes.
 struct TuImports {
@@ -197,6 +211,10 @@ struct TuImports {
   [[nodiscard]] bool empty() const {
     return externals.empty() && executions.empty() && paramFacts.empty();
   }
+  [[nodiscard]] bool operator==(const TuImports &other) const {
+    return externals == other.externals && executions == other.executions &&
+           paramFacts == other.paramFacts;
+  }
   [[nodiscard]] json::Value toJson() const;
   /// Content fingerprint over the canonical serialization — the
   /// plan-cache key component that makes a TU's cached plan sensitive to
@@ -208,10 +226,27 @@ struct TuImports {
 [[nodiscard]] TuImports
 buildTuImports(const ModuleSummary &module, const LinkResult &link);
 
+/// An import slice sealed with its fingerprint, computed once when the
+/// slice is sealed. Immutable, so the two always agree: this is what a
+/// Session consumes (`PipelineConfig::imports`), and its plan-cache probe
+/// reads the fingerprint instead of hashing the slice again.
+class SealedImports {
+public:
+  explicit SealedImports(TuImports imports)
+      : imports_(std::move(imports)), fingerprint_(imports_.fingerprint()) {}
+
+  [[nodiscard]] const TuImports &imports() const { return imports_; }
+  [[nodiscard]] const std::string &fingerprint() const { return fingerprint_; }
+
+private:
+  TuImports imports_;
+  std::string fingerprint_;
+};
+
 /// Schedules modules in reverse topological call-graph order (callees
 /// before callers; ties and cycles broken by input order). Returns indices
 /// into `modules`.
 [[nodiscard]] std::vector<std::size_t>
-reverseTopologicalOrder(const std::vector<ModuleSummary> &modules);
+reverseTopologicalOrder(const std::vector<const ModuleSummary *> &modules);
 
 } // namespace ompdart::summary

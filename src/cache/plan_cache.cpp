@@ -336,13 +336,14 @@ void PlanCache::flushIndex() {
 
 PlanCache::~PlanCache() { flushIndex(); }
 
-void PlanCache::memoizeEntry(SymbolId id, const CacheEntry &entry) {
+void PlanCache::memoizeEntry(const std::string &id, const CacheEntry &entry) {
   std::lock_guard<std::mutex> lock(memoMutex_);
   if (entryMemo_.size() < kEntryMemoCap)
     entryMemo_.emplace(id, entry);
 }
 
-void PlanCache::memoizeSummary(SymbolId id, const json::Value &payload) {
+void PlanCache::memoizeSummary(const std::string &id,
+                               const json::Value &payload) {
   std::lock_guard<std::mutex> lock(memoMutex_);
   if (summaryMemo_.size() < kSummaryMemoCap)
     summaryMemo_.emplace(id, payload);
@@ -359,7 +360,6 @@ std::optional<CacheEntry> PlanCache::lookup(const CacheKey &key,
   if (!enabled())
     return std::nullopt;
   const std::string id = key.id();
-  const SymbolId idSym = internSymbol(id);
 
   // Memo first: entries are immutable by content address, so a memoized
   // value validated once never goes stale — warm server traffic skips the
@@ -368,7 +368,7 @@ std::optional<CacheEntry> PlanCache::lookup(const CacheKey &key,
   bool fromMemo = false;
   {
     std::lock_guard<std::mutex> lock(memoMutex_);
-    auto it = entryMemo_.find(idSym);
+    auto it = entryMemo_.find(id);
     if (it != entryMemo_.end()) {
       entry = it->second;
       fromMemo = true;
@@ -383,7 +383,7 @@ std::optional<CacheEntry> PlanCache::lookup(const CacheKey &key,
         entry = CacheEntry::fromJson(*doc, key);
     }
     if (entry)
-      memoizeEntry(idSym, *entry);
+      memoizeEntry(id, *entry);
   }
 
   const std::string row = indexKeyFor(key, fileName);
@@ -439,7 +439,7 @@ void PlanCache::store(const CacheKey &key, const CacheEntry &entry) {
   if (!writeFileAtomic(entryPathFor(key), entry.toJson(key).dump(true)))
     return;
   const std::string id = key.id();
-  memoizeEntry(internSymbol(id), entry);
+  memoizeEntry(id, entry);
   counters_.stores.fetch_add(1, std::memory_order_relaxed);
   if (!entry.fileName.empty()) {
     const std::string row = indexKeyFor(key, entry.fileName);
@@ -459,11 +459,11 @@ std::string PlanCache::summaryPathFor(const CacheKey &key) const {
 std::optional<json::Value> PlanCache::lookupSummary(const CacheKey &key) {
   if (!enabled())
     return std::nullopt;
-  const SymbolId idSym = internSymbol(key.id());
+  const std::string id = key.id();
   counters_.summaryLookups.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(memoMutex_);
-    auto it = summaryMemo_.find(idSym);
+    auto it = summaryMemo_.find(id);
     if (it != summaryMemo_.end()) {
       counters_.summaryHits.fetch_add(1, std::memory_order_relaxed);
       counters_.summaryMemoHits.fetch_add(1, std::memory_order_relaxed);
@@ -490,7 +490,7 @@ std::optional<json::Value> PlanCache::lookupSummary(const CacheKey &key) {
   }
   if (payload) {
     counters_.summaryHits.fetch_add(1, std::memory_order_relaxed);
-    memoizeSummary(idSym, *payload);
+    memoizeSummary(id, *payload);
   } else {
     counters_.summaryMisses.fetch_add(1, std::memory_order_relaxed);
   }
@@ -502,7 +502,7 @@ void PlanCache::storeSummary(const CacheKey &key, const json::Value &payload) {
     return;
   // Memoize regardless of writability: a read-only server still keeps its
   // extracted summaries hot in memory (disk state is untouched).
-  memoizeSummary(internSymbol(key.id()), payload);
+  memoizeSummary(key.id(), payload);
   if (!writable())
     return;
   json::Value doc = json::Value::object();

@@ -48,7 +48,6 @@
 #include "driver/report.hpp"
 #include "mapping/ir.hpp"
 #include "support/diagnostics.hpp"
-#include "support/intern.hpp"
 #include "support/json.hpp"
 
 #include <array>
@@ -239,8 +238,8 @@ private:
   void saveShardLocked(unsigned shard);
   void mergeDiskShardLocked(unsigned shard);
 
-  void memoizeEntry(SymbolId id, const CacheEntry &entry);
-  void memoizeSummary(SymbolId id, const json::Value &payload);
+  void memoizeEntry(const std::string &id, const CacheEntry &entry);
+  void memoizeSummary(const std::string &id, const json::Value &payload);
 
   std::string directory_;
   CacheMode mode_;
@@ -263,16 +262,15 @@ private:
   };
   mutable Counters counters_;
 
-  /// In-memory memos keyed by the *interned* CacheKey::id(), so the warm
-  /// path hashes the content address once (at interning) and probes both
-  /// memos with integer keys. Entries are immutable by content address, so
-  /// a memoized value never goes stale; the caps bound a long-lived
-  /// server's footprint (inserts are skipped once full, and the interner
-  /// rows behind the ids are the same size as the index rows the cache
-  /// already keeps in memory).
+  /// In-memory memos keyed by CacheKey::id(). Entries are immutable by
+  /// content address, so a memoized value never goes stale; the caps bound
+  /// a long-lived server's footprint (inserts are skipped once full, and
+  /// dropMemos() frees every key). The ids are not interned: interned names
+  /// live for the whole process, and most keys of an editing client are
+  /// seen once.
   std::mutex memoMutex_;
-  std::unordered_map<SymbolId, CacheEntry> entryMemo_;
-  std::unordered_map<SymbolId, json::Value> summaryMemo_;
+  std::unordered_map<std::string, CacheEntry> entryMemo_;
+  std::unordered_map<std::string, json::Value> summaryMemo_;
 };
 
 } // namespace ompdart::cache

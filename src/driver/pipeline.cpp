@@ -178,7 +178,7 @@ void Session::ensureInterproc() {
   options.maxPasses =
       config_.planner.interprocedural ? config_.interprocMaxPasses : 1;
   if (config_.imports != nullptr)
-    options.importedSummaries = &config_.imports->externals;
+    options.importedSummaries = &config_.imports->imports().externals;
   interproc_ = runInterproceduralAnalysis(ast_->unit(), options);
 }
 
@@ -278,7 +278,7 @@ void Session::ensurePlan() {
       return;
     PlannerOptions options = config_.planner;
     if (config_.imports != nullptr)
-      options.imports = config_.imports;
+      options.imports = &config_.imports->imports();
     ir_ = planMappings(ast_->unit(), interproc_, diags_, options, &cfgs_);
     ir_.file = fileName_;
     // Table IV counters are a pure function of the fresh plan artifacts.
@@ -316,8 +316,9 @@ void Session::ensureCheck() {
   StageTimer timer(*this, Stage::Check);
   if (!parseOk_ || diags_.hasErrors())
     return;
-  checkResult_ = check::checkPlan(ast_->unit(), cfgs_, interproc_, ir_,
-                                  config_.imports);
+  checkResult_ = check::checkPlan(
+      ast_->unit(), cfgs_, interproc_, ir_,
+      config_.imports != nullptr ? &config_.imports->imports() : nullptr);
   if (!wanted)
     return;
   for (const check::Finding &finding : checkResult_.findings) {

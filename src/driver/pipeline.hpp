@@ -78,7 +78,7 @@ struct PipelineConfig {
   /// planner). Null for single-TU runs. The imports fingerprint joins the
   /// plan-cache key, so a TU's cached plan is invalidated exactly when its
   /// imports change. Non-owning; must outlive the Session.
-  const summary::TuImports *imports = nullptr;
+  const summary::SealedImports *imports = nullptr;
 };
 
 /// Fingerprint of every PipelineConfig field that can change planning

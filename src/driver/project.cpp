@@ -206,8 +206,12 @@ void ProjectSession::runSessions(cache::PlanCache *cache) {
   // matches the direction facts flow, keeps warm-cache behavior
   // deterministic, and is the order a future pipelined scheduler would
   // stream artifacts in.
+  std::vector<const summary::ModuleSummary *> modules;
+  modules.reserve(modules_.size());
+  for (const summary::ModuleSummary &module : modules_)
+    modules.push_back(&module);
   const std::vector<std::size_t> order =
-      summary::reverseTopologicalOrder(modules_);
+      summary::reverseTopologicalOrder(modules);
   scheduleOrder_.clear();
   for (const std::size_t index : order)
     scheduleOrder_.push_back(manifest_.tus[index].name);
@@ -266,7 +270,7 @@ bool ProjectSession::run() {
   imports_.clear();
   imports_.reserve(modules_.size());
   for (const summary::ModuleSummary &module : modules_)
-    imports_.push_back(summary::buildTuImports(module, link_));
+    imports_.emplace_back(summary::buildTuImports(module, link_));
 
   runSessions(cache);
 

@@ -134,7 +134,7 @@ public:
     return modules_;
   }
   /// The per-TU import slices, in manifest order.
-  [[nodiscard]] const std::vector<summary::TuImports> &tuImports() const {
+  [[nodiscard]] const std::vector<summary::SealedImports> &tuImports() const {
     return imports_;
   }
   /// The Session that planned a TU (by name); null before `run()` or for
@@ -164,7 +164,7 @@ private:
   std::vector<char> summaryCached_;
   summary::LinkResult link_;
   /// Stable storage: sessions hold non-owning pointers into this.
-  std::vector<summary::TuImports> imports_;
+  std::vector<summary::SealedImports> imports_;
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<ProjectItem> items_;
   std::vector<std::string> scheduleOrder_;

@@ -445,11 +445,11 @@ json::Value PlanService::handleProject(const json::Value &request,
     tuJson.set("name", tu.name);
     tuJson.set("reason", replanReasonName(tu.reason));
     tuJson.set("summaryReused", tu.summaryReused);
-    tuJson.set("success", tu.item.success);
-    tuJson.set("cache", cacheStatusName(tu.item.cacheStatus));
-    tuJson.set("output", tu.item.output);
+    tuJson.set("success", tu.item->success);
+    tuJson.set("cache", cacheStatusName(tu.item->cacheStatus));
+    tuJson.set("output", tu.item->output);
     if (request.boolOr("report"))
-      tuJson.set("report", tu.item.report.toJson());
+      tuJson.set("report", tu.item->report.toJson());
     tusJson.push(std::move(tuJson));
   }
   result.set("tus", std::move(tusJson));

@@ -370,7 +370,7 @@ void a() { b(); }
 void b() { }
 )",
                                         "b.c");
-  const auto order = reverseTopologicalOrder({mainTu, aTu, bTu});
+  const auto order = reverseTopologicalOrder({&mainTu, &aTu, &bTu});
   ASSERT_EQ(order.size(), 3u);
   // b.c (leaf) first, then a.c, then main.c.
   EXPECT_EQ(order[0], 2u);
@@ -389,7 +389,7 @@ void a();
 void b() { a(); }
 )",
                                         "b.c");
-  const auto order = reverseTopologicalOrder({aTu, bTu});
+  const auto order = reverseTopologicalOrder({&aTu, &bTu});
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1u); // a.c's DFS visits b.c first
   EXPECT_EQ(order[1], 0u);

@@ -7,6 +7,7 @@
 #include "driver/pipeline.hpp"
 #include "suite/benchmarks.hpp"
 #include "support/hash.hpp"
+#include "support/intern.hpp"
 #include "support/version.hpp"
 
 #include <gtest/gtest.h>
@@ -138,10 +139,11 @@ TEST(CacheKeyTest, ImportsChangeMissesAndInvalidatesLikeAnEdit) {
   // entries; flipping imports back re-hits the first entry (entries are
   // immutable-valid, like content flip-backs).
   TempDir dir("imports-key");
-  summary::TuImports imports;
-  imports.executions["main"] = 1;
-  summary::TuImports otherImports;
-  otherImports.executions["main"] = 7;
+  summary::TuImports slice;
+  slice.executions["main"] = 1;
+  const summary::SealedImports imports(slice);
+  slice.executions["main"] = 7;
+  const summary::SealedImports otherImports(slice);
 
   PipelineConfig config = cachedConfig(dir.str());
   config.imports = &imports;
@@ -757,6 +759,43 @@ TEST(ShardedIndexTest, MemoServesRepeatLookupsAndDropMemosForcesDisk) {
   EXPECT_TRUE(planCache.lookup(syntheticKey(0), "file-0.c").has_value());
   EXPECT_EQ(planCache.stats().memoHits, 2u);
   EXPECT_EQ(planCache.stats().hits, 3u);
+}
+
+TEST(ShardedIndexTest, EditedRequestsDoNotGrowTheSymbolTable) {
+  // Interned names are never freed, so a cache that interned its keys would
+  // leak one symbol per edited request in a long-lived server: each edit
+  // misses, stores the new plan and summary, and later hits them; an
+  // invalidation drops the memos and the same keys are memoized again.
+  TempDir dir("miss-intern");
+  cache::PlanCache planCache(dir.str(), cache::CacheMode::ReadWrite);
+  const json::Value summary = json::Value::object();
+  auto editedKey = [](int i) {
+    cache::CacheKey key = syntheticKey(0);
+    key.sourceHash = "edited-" + std::to_string(i);
+    return key;
+  };
+  const std::size_t before = SymbolTable::global().size();
+  constexpr int kEdits = 1000;
+  for (int i = 0; i < kEdits; ++i) {
+    const cache::CacheKey key = editedKey(i);
+    EXPECT_FALSE(planCache.lookup(key, "file-0.c").has_value());
+    EXPECT_FALSE(planCache.lookupSummary(key).has_value());
+    planCache.store(key, syntheticEntry(0));
+    planCache.storeSummary(key, summary);
+    EXPECT_TRUE(planCache.lookup(key, "file-0.c").has_value());
+    EXPECT_TRUE(planCache.lookupSummary(key).has_value());
+  }
+  planCache.dropMemos();
+  for (int i = 0; i < kEdits; ++i) {
+    EXPECT_TRUE(planCache.lookup(editedKey(i), "file-0.c").has_value());
+    EXPECT_TRUE(planCache.lookupSummary(editedKey(i)).has_value());
+  }
+  EXPECT_EQ(SymbolTable::global().size(), before);
+  const cache::CacheStats stats = planCache.stats();
+  EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kEdits));
+  EXPECT_EQ(stats.summaryMisses, static_cast<std::uint64_t>(kEdits));
+  EXPECT_EQ(stats.memoHits, static_cast<std::uint64_t>(kEdits));
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(2 * kEdits));
 }
 
 TEST(BatchCacheTest, WarmupPassesPrepopulateTheMeasuredRun) {

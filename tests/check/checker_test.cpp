@@ -52,9 +52,10 @@ struct PlannedProgram {
   [[nodiscard]] const ir::MappingIr &ir() { return session.ir(); }
 
   [[nodiscard]] CheckResult checkMutant(const ir::MappingIr &mutant) {
+    const summary::SealedImports *imports = session.config().imports;
     return check::checkPlan(session.parse().unit(), session.cfg(),
                             session.interproc(), mutant,
-                            session.config().imports);
+                            imports != nullptr ? &imports->imports() : nullptr);
   }
 
   Session session;

@@ -61,6 +61,16 @@ unsigned totalStageRuns(const IncrementalResult &result) {
   return total;
 }
 
+std::vector<std::string>
+importsRebuiltNames(const IncrementalResult &result) {
+  std::vector<std::string> names;
+  for (const IncrementalTuResult &tu : result.tus)
+    if (tu.importsRebuilt)
+      names.push_back(tu.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 std::vector<std::string> replannedNames(const IncrementalResult &result) {
   std::vector<std::string> names;
   for (const IncrementalTuResult &tu : result.tus)
@@ -80,11 +90,13 @@ TEST(IncrementalProjectTest, InitialReplanMatchesOneShotProjectSession) {
   ASSERT_EQ(result.tus.size(), tus.size());
   EXPECT_EQ(result.tusReplanned, kTuCount);
   EXPECT_EQ(result.tusReused, 0u);
+  EXPECT_FALSE(result.linkReused);
+  EXPECT_EQ(result.importsRebuilt, kTuCount);
   EXPECT_EQ(project.heldTus(), tus.size());
   for (const IncrementalTuResult &tu : result.tus) {
     EXPECT_EQ(tu.reason, ReplanReason::Initial) << tu.name;
     ASSERT_TRUE(expected.count(tu.name)) << tu.name;
-    EXPECT_EQ(tu.item.output, expected.at(tu.name)) << tu.name;
+    EXPECT_EQ(tu.item->output, expected.at(tu.name)) << tu.name;
   }
 }
 
@@ -103,12 +115,14 @@ TEST(IncrementalProjectTest, UnchangedRequestReusesEverything) {
   // The observable proof the replan was incremental: zero pipeline stage
   // executions anywhere.
   EXPECT_EQ(totalStageRuns(warm), 0u);
+  EXPECT_TRUE(warm.linkReused);
+  EXPECT_EQ(warm.importsRebuilt, 0u);
   for (const IncrementalTuResult &tu : warm.tus) {
     EXPECT_EQ(tu.reason, ReplanReason::Reused) << tu.name;
     EXPECT_TRUE(tu.summaryReused) << tu.name;
     const IncrementalTuResult *coldTu = cold.find(tu.name);
     ASSERT_NE(coldTu, nullptr);
-    EXPECT_EQ(tu.item.output, coldTu->item.output) << tu.name;
+    EXPECT_EQ(tu.item->output, coldTu->item->output) << tu.name;
   }
 }
 
@@ -131,11 +145,33 @@ TEST(IncrementalProjectTest, CommentEditReplansOnlyTheEditedTu) {
   ASSERT_NE(edited, nullptr);
   EXPECT_EQ(edited->reason, ReplanReason::SourceChanged);
 
+  // Cost follows the edit: the summary came out equal, so no link ran and
+  // no import slice was rebuilt.
+  EXPECT_TRUE(result.linkReused);
+  EXPECT_EQ(result.linkPasses, 0u);
+  EXPECT_EQ(result.importsRebuilt, 0u);
+  const json::Value reply = result.toJson();
+  EXPECT_TRUE(reply.boolOr("linkReused"));
+  EXPECT_EQ(reply.uintOr("importsRebuilt"), 0u);
+  ASSERT_NE(reply.find("phaseSeconds"), nullptr);
+  for (const char *phase : {"summaries", "link", "imports", "plan", "fold"})
+    EXPECT_NE(reply.find("phaseSeconds")->find(phase), nullptr) << phase;
+
   // The replanned output still matches a fresh one-shot over the edited
   // set.
   const std::map<std::string, std::string> expected = oneShotOutputs(tus);
   for (const IncrementalTuResult &tu : result.tus)
-    EXPECT_EQ(tu.item.output, expected.at(tu.name)) << tu.name;
+    EXPECT_EQ(tu.item->output, expected.at(tu.name)) << tu.name;
+
+  // The flip-back is the same kind of edit: the link and every slice are
+  // reused again.
+  tus[editIndex] = scaleTus(kSeed, kTuCount)[editIndex];
+  const IncrementalResult flipBack = project.replan(tus);
+  ASSERT_TRUE(flipBack.success);
+  EXPECT_EQ(replannedNames(flipBack),
+            std::vector<std::string>{tus[editIndex].name});
+  EXPECT_TRUE(flipBack.linkReused);
+  EXPECT_EQ(flipBack.importsRebuilt, 0u);
 }
 
 TEST(IncrementalProjectTest, FactEditReplansEditedTuAndItsImporters) {
@@ -165,10 +201,28 @@ TEST(IncrementalProjectTest, FactEditReplansEditedTuAndItsImporters) {
   EXPECT_EQ(result.find(tus[editIndex].name)->reason,
             ReplanReason::SourceChanged);
   EXPECT_EQ(result.find(tus[0].name)->reason, ReplanReason::ImportsChanged);
+  // The link reran, and only main's import slice (it imports the edited
+  // stage's closed summary) changed and was sealed anew. The edited TU
+  // imports only facts of main's call sites, which are unchanged: it
+  // replans for its own source and keeps its held slice.
+  EXPECT_FALSE(result.linkReused);
+  EXPECT_GT(result.linkPasses, 0u);
+  const std::vector<std::string> mainOnly{tus[0].name};
+  EXPECT_EQ(importsRebuiltNames(result), mainOnly);
+  EXPECT_EQ(result.importsRebuilt, 1u);
+  EXPECT_EQ(result.toJson().uintOr("importsRebuilt"), 1u);
 
   const std::map<std::string, std::string> expected = oneShotOutputs(tus);
   for (const IncrementalTuResult &tu : result.tus)
-    EXPECT_EQ(tu.item.output, expected.at(tu.name)) << tu.name;
+    EXPECT_EQ(tu.item->output, expected.at(tu.name)) << tu.name;
+
+  // The flip-back changes main's slice back, and only main's.
+  tus[editIndex] = scaleTus(kSeed, kTuCount)[editIndex];
+  const IncrementalResult flipBack = project.replan(tus);
+  ASSERT_TRUE(flipBack.success);
+  EXPECT_EQ(replannedNames(flipBack), expectNames);
+  EXPECT_FALSE(flipBack.linkReused);
+  EXPECT_EQ(importsRebuiltNames(flipBack), mainOnly);
 }
 
 TEST(IncrementalProjectTest, InvalidateForcesAFullReplan) {
@@ -205,7 +259,7 @@ TEST(IncrementalProjectTest, DroppedAndAddedTusAreHandledByName) {
   const std::map<std::string, std::string> expected =
       oneShotOutputs(smaller);
   for (const IncrementalTuResult &tu : result.tus)
-    EXPECT_EQ(tu.item.output, expected.at(tu.name)) << tu.name;
+    EXPECT_EQ(tu.item->output, expected.at(tu.name)) << tu.name;
 }
 
 TEST(IncrementalProjectTest, WorkerPoolMatchesSequentialOutputs) {
@@ -225,7 +279,7 @@ TEST(IncrementalProjectTest, WorkerPoolMatchesSequentialOutputs) {
   for (const IncrementalTuResult &tu : thrResult.tus) {
     const IncrementalTuResult *seqTu = seqResult.find(tu.name);
     ASSERT_NE(seqTu, nullptr);
-    EXPECT_EQ(tu.item.output, seqTu->item.output) << tu.name;
+    EXPECT_EQ(tu.item->output, seqTu->item->output) << tu.name;
   }
 }
 
