@@ -7,7 +7,9 @@
 // plus a deterministic identity digest over every plan fingerprint,
 // diagnostic and rewritten source. The digest is the refactor safety net:
 // two builds that produce the same digest produced byte-identical plans,
-// reports and rewrites for all 509 inputs.
+// reports and rewrites for all 509 inputs. The corpus and the digest live
+// in the library (driver/batch.hpp); the tier-1 test
+// IdentityDigestTest.ColdCorpusDigestIsPinned pins the digest too.
 //
 // Usage: bench_cold [baseline BENCH_cold.json]
 //
@@ -16,9 +18,6 @@
 // (default 1.15; CI's regression gate). Per-stage speedups vs the baseline
 // are reported either way. Writes BENCH_cold.json.
 #include "driver/batch.hpp"
-#include "gen/generator.hpp"
-#include "suite/benchmarks.hpp"
-#include "support/hash.hpp"
 #include "support/json.hpp"
 
 #include <cstdio>
@@ -29,53 +28,6 @@
 #include <vector>
 
 namespace {
-
-constexpr unsigned kCorpusSeeds = 500;
-constexpr std::uint64_t kCorpusBaseSeed = 1;
-
-std::vector<ompdart::BatchJob> coldJobs() {
-  std::vector<ompdart::BatchJob> jobs;
-  for (const auto &def : ompdart::suite::allBenchmarks()) {
-    ompdart::BatchJob job;
-    job.name = def.name;
-    job.fileName = def.name + ".c";
-    job.source = def.unoptimized;
-    jobs.push_back(std::move(job));
-  }
-  for (unsigned i = 0; i < kCorpusSeeds; ++i) {
-    const auto program = ompdart::gen::generateProgram(kCorpusBaseSeed + i);
-    ompdart::BatchJob job;
-    job.name = program.name;
-    job.fileName = program.name + ".c";
-    job.source = program.combined();
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
-/// Digest over everything a consumer can observe from the batch: plan IR
-/// fingerprints, diagnostics, metrics, and the rewritten sources. Timings
-/// and cache counters are deliberately excluded — they vary run to run.
-std::string identityDigest(const ompdart::BatchResult &result) {
-  ompdart::hash::Hasher hasher;
-  for (const auto &item : result.items) {
-    hasher.update(item.name);
-    hasher.update(std::string(item.success ? "ok" : "fail"));
-    hasher.update(item.report.plan.fingerprint());
-    hasher.update(static_cast<std::uint64_t>(item.report.diagnostics.size()));
-    for (const auto &diag : item.report.diagnostics) {
-      hasher.update(diag.message);
-      hasher.update(static_cast<std::uint64_t>(diag.location.offset));
-      hasher.update(static_cast<std::uint64_t>(diag.severity));
-    }
-    hasher.update(static_cast<std::uint64_t>(item.report.metrics.kernels));
-    hasher.update(
-        static_cast<std::uint64_t>(item.report.metrics.mappedVariables));
-    hasher.update(item.report.metrics.possibleMappings);
-    hasher.update(item.output);
-  }
-  return hasher.hex();
-}
 
 double stageOf(const ompdart::BatchStats &stats, ompdart::Stage stage) {
   return stats.stageSeconds[static_cast<unsigned>(stage)];
@@ -99,7 +51,7 @@ int main(int argc, char **argv) {
       std::max(1.0, envFactor("OMPDART_COLD_REPS", 3.0)));
   const double gateFactor = envFactor("OMPDART_COLD_GATE_FACTOR", 1.15);
 
-  const auto jobs = coldJobs();
+  const auto jobs = ompdart::coldJobs();
 
   BatchDriver::Options options;
   options.config.cacheMode = ompdart::cache::CacheMode::Off;
@@ -112,7 +64,7 @@ int main(int argc, char **argv) {
   ompdart::BatchResult best;
   for (unsigned rep = 0; rep < reps; ++rep) {
     ompdart::BatchResult result = driver.run(jobs);
-    const std::string repDigest = identityDigest(result);
+    const std::string repDigest = ompdart::identityDigest(result);
     if (rep == 0)
       digest = repDigest;
     else if (repDigest != digest) {
@@ -138,7 +90,7 @@ int main(int argc, char **argv) {
 
   std::printf("cold pipeline over %u inputs (9 benchmarks + %u-seed corpus),"
               " best of %u passes\n",
-              best.stats.jobs, kCorpusSeeds, reps);
+              best.stats.jobs, ompdart::kColdCorpusSeeds, reps);
   std::printf("  wall %.4f s | cpu %.4f s | threads %u\n",
               best.stats.wallSeconds, best.stats.cpuSeconds,
               best.stats.threads);
@@ -149,7 +101,7 @@ int main(int argc, char **argv) {
 
   json::Value doc = json::Value::object();
   doc.set("suiteInputs", 9);
-  doc.set("corpusSeeds", kCorpusSeeds);
+  doc.set("corpusSeeds", ompdart::kColdCorpusSeeds);
   doc.set("reps", reps);
   doc.set("wallSeconds", best.stats.wallSeconds);
   doc.set("cpuSeconds", best.stats.cpuSeconds);

@@ -41,6 +41,21 @@ namespace server = ompdart::server;
 
 namespace {
 
+/// The benchmark's socket and cache directory, removed with the object.
+struct ScopedDir {
+  fs::path path;
+  ScopedDir() {
+    std::random_device rd;
+    path = fs::temp_directory_path() /
+           ("ompdart-bench-scale-" + std::to_string(rd()));
+    fs::create_directories(path);
+  }
+  ~ScopedDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
 constexpr std::uint64_t kSeed = 7;
 
 unsigned envTuCount() {
@@ -195,11 +210,10 @@ int main() {
   const unsigned clientThreads =
       std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
 
-  std::random_device rd;
-  const fs::path workDir =
-      fs::temp_directory_path() /
-      ("ompdart-bench-scale-" + std::to_string(rd()));
-  fs::create_directories(workDir);
+  // Declared before the server, so it is removed after the server's
+  // shutdown has written its last cache files, on every return path.
+  const ScopedDir work;
+  const fs::path &workDir = work.path;
   const std::string socketPath = (workDir / "plan.sock").string();
 
   const ompdart::gen::GeneratedProgram program =
@@ -357,8 +371,5 @@ int main() {
   std::ofstream out("BENCH_scale.json");
   out << doc.dump(/*pretty=*/true) << "\n";
   std::printf("wrote BENCH_scale.json\n");
-
-  std::error_code ec;
-  fs::remove_all(workDir, ec);
   return ok ? 0 : 1;
 }

@@ -1,10 +1,9 @@
 #include "check/checker.hpp"
 
-#include "analysis/bounds.hpp"
 #include "analysis/extent.hpp"
-#include "analysis/liveness.hpp"
+#include "analysis/validity_walk.hpp"
+#include "mapping/ast_index.hpp"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <tuple>
@@ -17,11 +16,11 @@ namespace {
 // Abstract domain: a powerset over per-path validity elements. Each element
 // describes the host/device copies of one variable along some control-flow
 // path reaching the current point; the state is the union over all merged
-// paths. The planner's validity walk AND-merges a must-valid bit at joins;
-// the union preserves exactly that ("some element leaves the host copy
-// invalid" ⟺ the planner's merged hostValid bit is false), so flagging at
-// consumption points mirrors the planner's insertion points and correct
-// plans check clean.
+// paths. The planner's policy of the same validity walk AND-merges a
+// must-valid bit at joins; the union preserves exactly that ("some element
+// leaves the host copy invalid" ⟺ the planner's merged hostValid bit is
+// false), so the consumption points the checker flags are the planner's
+// insertion points and correct plans check clean.
 enum : unsigned {
   kBoth = 1u << 0,      ///< both copies hold the current value
   kHostOnlyA = 1u << 1, ///< host valid; device never initialized (alloc/from)
@@ -41,14 +40,6 @@ constexpr unsigned kDevStale = kHostOnlyA | kHostOnlyW | kCorrupt;
 /// applications DO flag kHostOnlyA — see applyUpdate.
 constexpr unsigned kDevStaleWritten = kHostOnlyW | kCorrupt;
 
-using AbsState = std::map<VarDecl *, unsigned>;
-
-/// Whether a loop/branch statement's source range contains another's.
-bool contains(const Stmt *outer, const Stmt *inner) {
-  return outer != nullptr && inner != nullptr &&
-         outer->range().contains(inner->range());
-}
-
 /// One resolved `target update` insertion with its usefulness accounting.
 struct UpdateSite {
   const ir::UpdateItem *item = nullptr;
@@ -60,177 +51,76 @@ struct UpdateSite {
   bool nonRedundant = false;
 };
 
-/// Checks one IR region against its function. Mirrors the planner's
-/// structured validity walk statement-for-statement (planner.cpp walkStmt):
-/// identical traversal order, identical join points, identical coverage
-/// proofs — divergence between the two walks is exactly what would turn
-/// into false positives.
+/// Checks one IR region against its function: the checker's policy of the
+/// validity walk the planner runs (analysis/validity_walk.hpp), with the
+/// plan's legs and updates applied at region entry/exit and at their
+/// anchors.
 class RegionChecker {
 public:
-  RegionChecker(const TranslationUnit &unit, const AstCfg &cfg,
-                const FunctionAccessInfo &accesses,
-                const InterproceduralResult &interproc,
-                const ir::MappingIr &ir, const ir::Region &region,
-                ExtentResolver &extents, CheckResult &result)
-      : unit_(unit), cfg_(cfg), accesses_(accesses), interproc_(interproc),
-        ir_(ir), region_(region), extents_(extents), result_(result),
-        fn_(cfg.function()), liveness_(cfg, accesses) {}
+  RegionChecker(const AstIndex &index, const AstCfg &cfg,
+                const FunctionAccessInfo &accesses, const ir::MappingIr &ir,
+                const ir::Region &region, ExtentResolver &extents,
+                CheckResult &result)
+      : index_(index), cfg_(cfg), accesses_(accesses), ir_(ir),
+        region_(region), extents_(extents), result_(result),
+        fn_(cfg.function()) {}
 
   /// Resolves anchors/symbols and runs the walk. Returns false when the
-  /// region cannot be resolved against the unit (nothing is flagged then).
+  /// region cannot be resolved against the function (nothing is flagged
+  /// then).
   bool run() {
-    buildStmtIndex(fn_->body());
-    buildVarIndex();
-    startStmt_ = resolveAnchor(region_.start);
-    endStmt_ = resolveAnchor(region_.end);
-    if (startStmt_ == nullptr || endStmt_ == nullptr)
-      return false;
-    regionEndOffset_ = endStmt_->range().end.offset;
-    if (!resolveItems())
+    const Stmt *start = index_.stmtAt(region_.start, fn_);
+    const Stmt *end = index_.stmtAt(region_.end, fn_);
+    if (start == nullptr || end == nullptr || !resolveItems())
       return false;
     extents_.setFunctionContext(&accesses_, &cfg_);
-
-    // Drive the same region-locating descent the planner uses: the region
-    // statements are consecutive children of one compound.
-    visit(fn_->body());
-    if (!exited_ && entered_)
-      applyRegionExit(); // defensive: malformed anchors
+    Walk walk(*this, cfg_, accesses_, extents_);
+    const bool entered = walk.walkRegion(start, end);
     reportUpdateAccounting();
-    return entered_;
+    return entered;
   }
 
 private:
+  using State = std::map<VarDecl *, unsigned>;
+  using Walk = ValidityWalk<RegionChecker>;
+  friend Walk;
+
+  // ---- walk policy ------------------------------------------------------
+
+  static void join(State &into, const State &branch) {
+    for (const auto &[var, elems] : branch)
+      into[var] |= elems;
+  }
+  static bool stable(const State &before, const State &after) {
+    return before == after;
+  }
+  /// Only mapped variables carry state; firstprivate scalars are passed
+  /// afresh at each launch and unmapped variables have no plan legs to
+  /// contradict.
+  bool tracks(VarDecl *var, const State &state) const {
+    return state.count(var) != 0;
+  }
+  void before(const Stmt *stmt, Walk &walk) {
+    applyUpdates(stmt, ir::UpdatePlacement::Before, walk.state);
+  }
+  void after(const Stmt *stmt, Walk &walk) {
+    applyUpdates(stmt, ir::UpdatePlacement::After, walk.state);
+  }
+  void bodyBegin(const Stmt *loop, Walk &walk) {
+    applyUpdates(loop, ir::UpdatePlacement::BodyBegin, walk.state);
+  }
+  void bodyEnd(const Stmt *loop, Walk &walk) {
+    applyUpdates(loop, ir::UpdatePlacement::BodyEnd, walk.state);
+  }
+
   // ---- resolution -------------------------------------------------------
-
-  void buildStmtIndex(const Stmt *stmt) {
-    if (stmt == nullptr)
-      return;
-    const SourceRange range = stmt->range();
-    if (range.isValid())
-      stmtsByRange_.emplace(
-          std::make_pair(range.begin.offset, range.end.offset), stmt);
-    switch (stmt->kind()) {
-    case StmtKind::Compound:
-      for (const Stmt *sub : static_cast<const CompoundStmt *>(stmt)->body())
-        buildStmtIndex(sub);
-      return;
-    case StmtKind::If: {
-      const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-      buildStmtIndex(ifStmt->thenStmt());
-      buildStmtIndex(ifStmt->elseStmt());
-      return;
-    }
-    case StmtKind::For: {
-      const auto *forStmt = static_cast<const ForStmt *>(stmt);
-      buildStmtIndex(forStmt->init());
-      buildStmtIndex(forStmt->body());
-      return;
-    }
-    case StmtKind::While:
-      buildStmtIndex(static_cast<const WhileStmt *>(stmt)->body());
-      return;
-    case StmtKind::Do:
-      buildStmtIndex(static_cast<const DoStmt *>(stmt)->body());
-      return;
-    case StmtKind::Switch:
-      buildStmtIndex(static_cast<const SwitchStmt *>(stmt)->body());
-      return;
-    case StmtKind::Case:
-      buildStmtIndex(static_cast<const CaseStmt *>(stmt)->sub());
-      return;
-    case StmtKind::Default:
-      buildStmtIndex(static_cast<const DefaultStmt *>(stmt)->sub());
-      return;
-    case StmtKind::OmpDirective:
-      buildStmtIndex(
-          static_cast<const OmpDirectiveStmt *>(stmt)->associated());
-      return;
-    default:
-      return;
-    }
-  }
-
-  void indexVar(VarDecl *var) {
-    if (var == nullptr)
-      return;
-    const SourceRange range =
-        var->declStmtRange().isValid() ? var->declStmtRange() : var->range();
-    varsByNameAndOffset_.emplace(
-        std::make_pair(var->name(), range.begin.offset), var);
-  }
-
-  void collectDecls(const Stmt *stmt) {
-    if (stmt == nullptr)
-      return;
-    if (stmt->kind() == StmtKind::Decl) {
-      for (VarDecl *var : static_cast<const DeclStmt *>(stmt)->decls())
-        indexVar(var);
-      return;
-    }
-    switch (stmt->kind()) {
-    case StmtKind::Compound:
-      for (const Stmt *sub : static_cast<const CompoundStmt *>(stmt)->body())
-        collectDecls(sub);
-      return;
-    case StmtKind::If: {
-      const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-      collectDecls(ifStmt->thenStmt());
-      collectDecls(ifStmt->elseStmt());
-      return;
-    }
-    case StmtKind::For: {
-      const auto *forStmt = static_cast<const ForStmt *>(stmt);
-      collectDecls(forStmt->init());
-      collectDecls(forStmt->body());
-      return;
-    }
-    case StmtKind::While:
-      collectDecls(static_cast<const WhileStmt *>(stmt)->body());
-      return;
-    case StmtKind::Do:
-      collectDecls(static_cast<const DoStmt *>(stmt)->body());
-      return;
-    case StmtKind::Switch:
-      collectDecls(static_cast<const SwitchStmt *>(stmt)->body());
-      return;
-    case StmtKind::Case:
-      collectDecls(static_cast<const CaseStmt *>(stmt)->sub());
-      return;
-    case StmtKind::Default:
-      collectDecls(static_cast<const DefaultStmt *>(stmt)->sub());
-      return;
-    case StmtKind::OmpDirective:
-      collectDecls(static_cast<const OmpDirectiveStmt *>(stmt)->associated());
-      return;
-    default:
-      return;
-    }
-  }
-
-  void buildVarIndex() {
-    for (VarDecl *var : unit_.globals)
-      indexVar(var);
-    for (VarDecl *param : fn_->params())
-      indexVar(param);
-    collectDecls(fn_->body());
-  }
-
-  const Stmt *resolveAnchor(const ir::StmtAnchor &anchor) const {
-    auto it = stmtsByRange_.find(
-        std::make_pair(anchor.beginOffset, anchor.endOffset));
-    return it != stmtsByRange_.end() ? it->second : nullptr;
-  }
 
   VarDecl *resolveSymbol(ir::SymbolId id) const {
     const ir::Symbol *sym = ir_.symbol(id);
-    if (sym == nullptr)
-      return nullptr;
-    auto it = varsByNameAndOffset_.find(
-        std::make_pair(sym->name, sym->declOffset));
-    return it != varsByNameAndOffset_.end() ? it->second : nullptr;
+    return sym != nullptr ? index_.resolve(*sym, fn_) : nullptr;
   }
 
-  /// Resolves map/update/firstprivate items to their VarDecls and anchors.
+  /// Resolves map and update items to their VarDecls and anchors.
   bool resolveItems() {
     for (const ir::MapItem &item : region_.maps) {
       VarDecl *var = resolveSymbol(item.symbol);
@@ -238,15 +128,12 @@ private:
         return false;
       mapVars_.push_back({&item, var});
     }
-    for (const ir::FirstprivateItem &item : region_.firstprivates)
-      if (VarDecl *var = resolveSymbol(item.symbol))
-        firstprivate_.insert(var);
     std::set<VarDecl *> mapped;
     for (const auto &[item, var] : mapVars_)
       mapped.insert(var);
     for (const ir::UpdateItem &item : region_.updates) {
       VarDecl *var = resolveSymbol(item.symbol);
-      const Stmt *anchor = resolveAnchor(item.anchor);
+      const Stmt *anchor = index_.stmtAt(item.anchor, fn_);
       if (var == nullptr || anchor == nullptr)
         return false;
       // An update moving data for a symbol the region never maps has no
@@ -306,8 +193,7 @@ private:
 
   // ---- region entry / exit ---------------------------------------------
 
-  void applyRegionEntry() {
-    entered_ = true;
+  void enterRegion(Walk &walk) {
     if (region_.entryCount == 0)
       report(FindingCode::ExitWithoutEntry, nullptr, regionLocation(),
              "region entry count is zero: its exit transfers have no "
@@ -331,48 +217,22 @@ private:
       // and the exit checks stay silent for them.
       if (presentLike || item->coldEntries == 0) {
         warm_.insert(var);
-        state_[var] = kBoth;
+        walk.state[var] = kBoth;
         continue;
       }
       switch (item->type) {
       case ir::MapType::To:
       case ir::MapType::ToFrom:
-        state_[var] = kBoth;
+        walk.state[var] = kBoth;
         break;
       default: // Alloc / From: no entry copy, device uninitialized
-        state_[var] = kHostOnlyA;
+        walk.state[var] = kHostOnlyA;
         break;
       }
     }
   }
 
-  bool liveAfterRegion(VarDecl *var) const {
-    // Mirror of the planner's region-exit liveness answer (planner.cpp):
-    // globals escape except inside main (nothing runs after it returns and
-    // the augmented event stream already covers callees); otherwise scan
-    // for host reads after the region end.
-    const bool preciseGlobals = fn_->name() == "main" && var->isGlobal();
-    bool liveAfter = !preciseGlobals && liveness_.escapes(var);
-    if (!liveAfter) {
-      for (const AccessEvent &event : accesses_.events) {
-        if (event.var != var || event.onDevice || event.stmt == nullptr)
-          continue;
-        if (event.kind != AccessKind::Read &&
-            event.kind != AccessKind::Unknown)
-          continue;
-        if (!event.isDataAccess())
-          continue;
-        if (event.stmt->range().begin.offset >= regionEndOffset_) {
-          liveAfter = true;
-          break;
-        }
-      }
-    }
-    return liveAfter;
-  }
-
-  void applyRegionExit() {
-    exited_ = true;
+  void exitRegion(Walk &walk) {
     SourceLocation endLoc;
     endLoc.offset = region_.end.beginOffset;
     endLoc.line = region_.end.endLine;
@@ -380,7 +240,7 @@ private:
     for (const auto &[item, var] : mapVars_) {
       if (warm_.count(var) != 0)
         continue;
-      const unsigned elems = state_[var];
+      const unsigned elems = walk.state[var];
       const bool toLeg =
           item->type == ir::MapType::To || item->type == ir::MapType::ToFrom;
       const bool fromLeg = item->type == ir::MapType::From ||
@@ -397,12 +257,12 @@ private:
           report(FindingCode::DeadTransfer, var, endLoc,
                  "from-leg for '" + item->item +
                      "' copies out data no kernel ever writes");
-        else if (!liveAfterRegion(var))
+        else if (!walk.liveAfterRegion(var))
           report(FindingCode::DeadTransfer, var, endLoc,
                  "from-leg for '" + item->item +
                      "' copies out a value the host never reads after the "
                      "region");
-      } else if ((elems & kHostStale) != 0 && liveAfterRegion(var)) {
+      } else if ((elems & kHostStale) != 0 && walk.liveAfterRegion(var)) {
         report(FindingCode::StaleHostRead, var, endLoc,
                "'" + item->item +
                    "' is read on the host after the region but its last "
@@ -428,18 +288,19 @@ private:
 
   // ---- update application ----------------------------------------------
 
-  void applyUpdates(const Stmt *stmt, ir::UpdatePlacement placement) {
+  void applyUpdates(const Stmt *stmt, ir::UpdatePlacement placement,
+                    State &state) {
     auto it = updatesByAnchor_.find(
         std::make_pair(stmt, static_cast<int>(placement)));
     if (it == updatesByAnchor_.end())
       return;
     for (const std::size_t index : it->second)
-      applyUpdate(updateSites_[index]);
+      applyUpdate(updateSites_[index], state);
   }
 
-  void applyUpdate(UpdateSite &site) {
-    auto it = state_.find(site.var);
-    if (it == state_.end())
+  void applyUpdate(UpdateSite &site, State &state) {
+    auto it = state.find(site.var);
+    if (it == state.end())
       return;
     unsigned &elems = it->second;
     site.applied = true;
@@ -484,56 +345,13 @@ private:
 
   // ---- access transfer functions ---------------------------------------
 
-  bool isKernelLocal(const VarDecl *var) const {
-    if (var == nullptr || !var->declStmtRange().isValid())
-      return false;
-    for (const OmpDirectiveStmt *kernel : cfg_.kernels())
-      if (kernel->range().contains(var->declStmtRange()))
-        return true;
-    return false;
-  }
-
-  void processLeafEvents(const Stmt *stmt) {
-    auto it = accesses_.byStmt.find(stmt);
-    if (it == accesses_.byStmt.end())
-      return;
-    for (const AccessEvent &event : it->second) {
-      if (event.var == nullptr)
-        continue;
-      if (isAggregateLike(event.var) && !event.isDataAccess())
-        continue;
-      if (event.onDevice && isKernelLocal(event.var))
-        continue;
-      // Only mapped variables carry state; firstprivate scalars are passed
-      // afresh at each launch and unmapped variables have no plan legs to
-      // contradict.
-      if (state_.find(event.var) == state_.end())
-        continue;
-      const bool reads = event.kind == AccessKind::Read ||
-                         event.kind == AccessKind::Unknown;
-      const bool writes = event.kind == AccessKind::Write ||
-                          event.kind == AccessKind::Unknown;
-      if (event.onDevice) {
-        if (reads)
-          handleDeviceRead(event);
-        if (writes)
-          handleDeviceWrite(event);
-      } else {
-        if (reads)
-          handleHostRead(event);
-        if (writes)
-          handleHostWrite(event);
-      }
-    }
-  }
-
   SourceLocation eventLocation(const AccessEvent &event) const {
     return event.stmt != nullptr ? event.stmt->range().begin
                                  : regionLocation();
   }
 
-  void handleDeviceRead(const AccessEvent &event) {
-    unsigned &elems = state_[event.var];
+  void deviceRead(const AccessEvent &event, Walk &walk) {
+    unsigned &elems = walk.state[event.var];
     deviceReadSeen_.insert(event.var);
     if ((elems & kDevStale) != 0) {
       report(FindingCode::StaleDeviceRead, event.var, eventLocation(event),
@@ -550,21 +368,8 @@ private:
     }
   }
 
-  void handleDeviceWrite(const AccessEvent &event) {
-    unsigned &elems = state_[event.var];
-    bool fullCoverage;
-    if (!isAggregateLike(event.var)) {
-      fullCoverage = !event.conditional;
-    } else {
-      const ExtentInfo extent = extents_.effectiveExtent(event.var);
-      std::vector<const Stmt *> kernelLoops;
-      if (const auto *loops = cfg_.enclosingLoops(event.stmt))
-        for (const Stmt *loop : *loops)
-          if (event.kernel == nullptr || contains(event.kernel, loop))
-            kernelLoops.push_back(loop);
-      fullCoverage = isFullCoverageWrite(event, event.var, extent,
-                                         kernelLoops);
-    }
+  void deviceWrite(const AccessEvent &event, bool fullCoverage, Walk &walk) {
+    unsigned &elems = walk.state[event.var];
     if (!fullCoverage) {
       // A partial write behaves like a read-modify-write of the whole
       // object: untouched elements must be current on the device first.
@@ -587,8 +392,8 @@ private:
     elems = out;
   }
 
-  void handleHostRead(const AccessEvent &event) {
-    unsigned &elems = state_[event.var];
+  void hostRead(const AccessEvent &event, Walk &walk) {
+    unsigned &elems = walk.state[event.var];
     if ((elems & kHostStale) != 0) {
       report(FindingCode::StaleHostRead, event.var, eventLocation(event),
              "host reads '" + event.var->name() +
@@ -602,24 +407,8 @@ private:
     }
   }
 
-  void handleHostWrite(const AccessEvent &event) {
-    unsigned &elems = state_[event.var];
-    bool fullCoverage;
-    if (!isAggregateLike(event.var)) {
-      fullCoverage = !event.conditional;
-    } else if (event.fromCall) {
-      fullCoverage = event.provenFullCoverage;
-    } else {
-      const ExtentInfo extent = extents_.effectiveExtent(event.var);
-      if (extent.constElems && *extent.constElems == 1) {
-        fullCoverage = !event.conditional;
-      } else {
-        std::vector<const Stmt *> loops;
-        if (const auto *enclosing = cfg_.enclosingLoops(event.stmt))
-          loops = *enclosing;
-        fullCoverage = isFullCoverageWrite(event, event.var, extent, loops);
-      }
-    }
+  void hostWrite(const AccessEvent &event, bool fullCoverage, Walk &walk) {
+    unsigned &elems = walk.state[event.var];
     if (!fullCoverage && (elems & kHostStale) != 0)
       report(FindingCode::StaleHostRead, event.var, eventLocation(event),
              "host partially writes '" + event.var->name() +
@@ -636,191 +425,25 @@ private:
     elems = out;
   }
 
-  // ---- structured walk (mirror of planner.cpp walkStmt) -----------------
-
-  static void mergeStates(AbsState &into, const AbsState &branch) {
-    for (const auto &[var, elems] : branch)
-      into[var] |= elems;
-  }
-
-  void walkStmt(const Stmt *stmt) {
-    if (stmt == nullptr)
-      return;
-    applyUpdates(stmt, ir::UpdatePlacement::Before);
-    switch (stmt->kind()) {
-    case StmtKind::Compound:
-      for (const Stmt *sub : static_cast<const CompoundStmt *>(stmt)->body())
-        walkStmt(sub);
-      break;
-    case StmtKind::Decl:
-    case StmtKind::Expr:
-    case StmtKind::Return:
-      processLeafEvents(stmt);
-      break;
-    case StmtKind::If: {
-      const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-      processLeafEvents(stmt); // condition reads
-      AbsState snapshot = state_;
-      walkStmt(ifStmt->thenStmt());
-      AbsState thenState = std::move(state_);
-      state_ = std::move(snapshot);
-      if (ifStmt->elseStmt() != nullptr)
-        walkStmt(ifStmt->elseStmt());
-      mergeStates(state_, thenState);
-      break;
-    }
-    case StmtKind::For:
-    case StmtKind::While:
-    case StmtKind::Do: {
-      const Stmt *body = nullptr;
-      if (stmt->kind() == StmtKind::For) {
-        const auto *forStmt = static_cast<const ForStmt *>(stmt);
-        walkStmt(forStmt->init());
-        body = forStmt->body();
-      } else if (stmt->kind() == StmtKind::While) {
-        body = static_cast<const WhileStmt *>(stmt)->body();
-      } else {
-        body = static_cast<const DoStmt *>(stmt)->body();
-      }
-      AbsState entryState = state_;
-      // Iterate the body until the state stabilizes, exactly like the
-      // planner: the second pass exposes loop-carried dependencies.
-      for (int iteration = 0; iteration < 4; ++iteration) {
-        AbsState before = state_;
-        processLeafEvents(stmt); // cond/inc reads
-        applyUpdates(stmt, ir::UpdatePlacement::BodyBegin);
-        walkStmt(body);
-        applyUpdates(stmt, ir::UpdatePlacement::BodyEnd);
-        if (state_ == before && iteration > 0)
-          break;
-      }
-      bool definitelyExecutes = false;
-      if (const auto *forStmt = dynamic_cast<const ForStmt *>(stmt)) {
-        const LoopBounds bounds = analyzeForLoop(forStmt);
-        definitelyExecutes = bounds.valid && bounds.upperConst &&
-                             bounds.lowerConst &&
-                             *bounds.upperConst > *bounds.lowerConst;
-      }
-      if (stmt->kind() != StmtKind::Do && !definitelyExecutes)
-        mergeStates(state_, entryState);
-      break;
-    }
-    case StmtKind::Switch: {
-      const auto *switchStmt = static_cast<const SwitchStmt *>(stmt);
-      processLeafEvents(stmt);
-      AbsState snapshot = state_;
-      walkStmt(switchStmt->body());
-      mergeStates(state_, snapshot);
-      break;
-    }
-    case StmtKind::Case:
-      walkStmt(static_cast<const CaseStmt *>(stmt)->sub());
-      break;
-    case StmtKind::Default:
-      walkStmt(static_cast<const DefaultStmt *>(stmt)->sub());
-      break;
-    case StmtKind::OmpDirective: {
-      const auto *directive = static_cast<const OmpDirectiveStmt *>(stmt);
-      processLeafEvents(stmt); // clause values / reductions
-      if (directive->associated() != nullptr)
-        walkStmt(directive->associated());
-      break;
-    }
-    case StmtKind::Break:
-    case StmtKind::Continue:
-    case StmtKind::Null:
-      break;
-    }
-    applyUpdates(stmt, ir::UpdatePlacement::After);
-  }
-
-  /// Region-locating descent (mirror of the planner's RegionWalker): the
-  /// region statements are consecutive children of one compound.
-  void visit(const Stmt *stmt) {
-    if (done_ || stmt == nullptr)
-      return;
-    if (stmt->kind() == StmtKind::Compound) {
-      for (const Stmt *sub :
-           static_cast<const CompoundStmt *>(stmt)->body()) {
-        if (done_)
-          return;
-        if (sub == startStmt_) {
-          active_ = true;
-          applyRegionEntry();
-        }
-        if (active_)
-          walkStmt(sub);
-        if (sub == endStmt_ && active_) {
-          applyRegionExit();
-          done_ = true;
-          return;
-        }
-        if (!active_)
-          visit(sub); // descend looking for the region
-      }
-      return;
-    }
-    switch (stmt->kind()) {
-    case StmtKind::If: {
-      const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-      visit(ifStmt->thenStmt());
-      visit(ifStmt->elseStmt());
-      return;
-    }
-    case StmtKind::For:
-      visit(static_cast<const ForStmt *>(stmt)->body());
-      return;
-    case StmtKind::While:
-      visit(static_cast<const WhileStmt *>(stmt)->body());
-      return;
-    case StmtKind::Do:
-      visit(static_cast<const DoStmt *>(stmt)->body());
-      return;
-    case StmtKind::Switch:
-      visit(static_cast<const SwitchStmt *>(stmt)->body());
-      return;
-    case StmtKind::OmpDirective:
-      visit(static_cast<const OmpDirectiveStmt *>(stmt)->associated());
-      return;
-    default:
-      return;
-    }
-  }
-
   // ---- members ----------------------------------------------------------
 
-  const TranslationUnit &unit_;
+  const AstIndex &index_;
   const AstCfg &cfg_;
   const FunctionAccessInfo &accesses_;
-  const InterproceduralResult &interproc_;
   const ir::MappingIr &ir_;
   const ir::Region &region_;
   ExtentResolver &extents_;
   CheckResult &result_;
   const FunctionDecl *fn_;
-  LivenessAnalysis liveness_;
 
-  std::map<std::pair<std::size_t, std::size_t>, const Stmt *> stmtsByRange_;
-  std::map<std::pair<std::string, std::size_t>, VarDecl *>
-      varsByNameAndOffset_;
   std::vector<std::pair<const ir::MapItem *, VarDecl *>> mapVars_;
-  std::set<VarDecl *> firstprivate_;
   std::vector<UpdateSite> updateSites_;
   std::map<std::pair<const Stmt *, int>, std::vector<std::size_t>>
       updatesByAnchor_;
 
-  const Stmt *startStmt_ = nullptr;
-  const Stmt *endStmt_ = nullptr;
-  std::size_t regionEndOffset_ = 0;
-
-  AbsState state_;
   std::set<VarDecl *> warm_;
   std::set<VarDecl *> deviceReadSeen_;
   std::set<VarDecl *> deviceWriteSeen_;
-  bool active_ = false;
-  bool done_ = false;
-  bool entered_ = false;
-  bool exited_ = false;
   std::set<std::tuple<int, std::string, std::size_t>> reported_;
 };
 
@@ -832,6 +455,9 @@ CheckResult checkPlan(const TranslationUnit &unit,
                       const ir::MappingIr &ir,
                       const summary::TuImports *imports) {
   CheckResult result;
+  if (ir.regions.empty())
+    return result;
+  const AstIndex index(unit);
   MallocExtents mallocExtents(unit);
   // Diagnostics stay off: the plan stage already reported any call-site
   // disagreements; the checker resolves extents silently.
@@ -848,8 +474,8 @@ CheckResult checkPlan(const TranslationUnit &unit,
     const FunctionAccessInfo *accesses = interproc.accessesFor(fn);
     if (cfg == nullptr || accesses == nullptr)
       continue;
-    RegionChecker checker(unit, *cfg, *accesses, interproc, ir, region,
-                          extents, result);
+    RegionChecker checker(index, *cfg, *accesses, ir, region, extents,
+                          result);
     if (checker.run())
       ++result.regionsChecked;
   }

@@ -1,12 +1,13 @@
 // Static plan-safety checker: flow-sensitive host/device data-consistency
 // analysis over a Mapping IR (the `check` pipeline stage).
 //
-// The checker re-walks each planned region with the plan OVERLAID as
-// transfer functions: map to/from/alloc legs seed the per-variable abstract
-// state at region entry, `target update` items apply at their anchors, and
-// kernel reads/writes (from the interprocedurally augmented access stream)
-// plus host statements transform it. Any access that consumes a copy the
-// plan left stale is a finding.
+// The checker runs the planner's own validity walk (one skeleton,
+// analysis/validity_walk.hpp) with its own policy: the plan is OVERLAID as
+// transfer functions — map to/from/alloc legs seed the per-variable
+// abstract state at region entry, `target update` items apply at their
+// anchors, and kernel reads/writes (from the interprocedurally augmented
+// access stream) plus host statements transform it. Any access that
+// consumes a copy the plan left stale is a finding.
 //
 // The abstract domain is a powerset over five per-path elements
 // (see checker.cpp): the planner's validity walk AND-merges a must-valid
@@ -18,10 +19,11 @@
 // shifting any transfer of a correct plan breaks a consistency proof along
 // some path and surfaces as a coded finding (the soundness gate).
 //
-// The checker deliberately shares the planner's extent resolution
-// (analysis/extent.hpp) and full-coverage write proofs: a checker that
-// re-derived extents its own way would disagree with the planner precisely
-// on the programs where inference matters.
+// Traversal, joins, the loop fixed point, the full-coverage write proofs,
+// the region-exit liveness scan and the extent resolution
+// (analysis/extent.hpp) are the planner's, not copies of them: a checker
+// that walked or proved its own way would disagree with the planner
+// precisely on the programs where those rules matter.
 #pragma once
 
 #include "analysis/interproc.hpp"

@@ -3,6 +3,8 @@
 #include "driver/project.hpp"
 #include "gen/shrink.hpp"
 #include "interp/interp.hpp"
+#include "suite/benchmarks.hpp"
+#include "support/hash.hpp"
 
 #include <atomic>
 #include <chrono>
@@ -386,6 +388,38 @@ BatchResult BatchDriver::runOnce(const std::vector<BatchJob> &jobs,
         cacheAfter.invalidations - cacheBefore.invalidations;
   }
   return result;
+}
+
+std::vector<BatchJob> coldJobs() {
+  std::vector<BatchJob> jobs;
+  for (const auto &def : suite::allBenchmarks())
+    jobs.push_back({def.name, def.name + ".c", def.unoptimized});
+  for (unsigned seed = 1; seed <= kColdCorpusSeeds; ++seed) {
+    const gen::GeneratedProgram program = gen::generateProgram(seed);
+    jobs.push_back({program.name, program.name + ".c", program.combined()});
+  }
+  return jobs;
+}
+
+std::string identityDigest(const BatchResult &result) {
+  hash::Hasher hasher;
+  for (const BatchItem &item : result.items) {
+    hasher.update(item.name);
+    hasher.update(std::string(item.success ? "ok" : "fail"));
+    hasher.update(item.report.plan.fingerprint());
+    hasher.update(static_cast<std::uint64_t>(item.report.diagnostics.size()));
+    for (const Diagnostic &diag : item.report.diagnostics) {
+      hasher.update(diag.message);
+      hasher.update(static_cast<std::uint64_t>(diag.location.offset));
+      hasher.update(static_cast<std::uint64_t>(diag.severity));
+    }
+    hasher.update(static_cast<std::uint64_t>(item.report.metrics.kernels));
+    hasher.update(
+        static_cast<std::uint64_t>(item.report.metrics.mappedVariables));
+    hasher.update(item.report.metrics.possibleMappings);
+    hasher.update(item.output);
+  }
+  return hasher.hex();
 }
 
 } // namespace ompdart

@@ -212,4 +212,18 @@ private:
   Options options_;
 };
 
+/// Generated programs in the cold-path identity corpus (seeds 1..N).
+constexpr unsigned kColdCorpusSeeds = 500;
+
+/// The cold-path identity corpus: the nine suite benchmarks, then the
+/// generated programs of seeds 1..kColdCorpusSeeds, one job each.
+[[nodiscard]] std::vector<BatchJob> coldJobs();
+
+/// Digest over everything a consumer can observe from a batch: plan IR
+/// fingerprints, diagnostics, metrics and the rewritten sources. Timings
+/// and cache counters are excluded (they vary run to run). Two builds with
+/// the same digest over `coldJobs()` with the cache off produced
+/// byte-identical plans, reports and rewrites.
+[[nodiscard]] std::string identityDigest(const BatchResult &result);
+
 } // namespace ompdart

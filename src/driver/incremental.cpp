@@ -43,7 +43,7 @@ const char *replanReasonName(ReplanReason reason) {
   return "unknown";
 }
 
-json::Value IncrementalResult::toJson() const {
+json::Value IncrementalResult::toJson(const TuJsonExtra &extra) const {
   json::Value doc = json::Value::object();
   doc.set("success", success);
   doc.set("linkPasses", linkPasses);
@@ -91,6 +91,8 @@ json::Value IncrementalResult::toJson() const {
     tuJson.set("reason", replanReasonName(tu.reason));
     tuJson.set("summaryReused", tu.summaryReused);
     tuJson.set("success", tu.item->success);
+    if (extra)
+      extra(tu, tuJson);
     tusJson.push(std::move(tuJson));
   }
   doc.set("tus", std::move(tusJson));

@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -121,7 +122,12 @@ struct IncrementalResult {
         return &tu;
     return nullptr;
   }
-  [[nodiscard]] json::Value toJson() const;
+  /// Adds members to one TU's entry of the `tus` array.
+  using TuJsonExtra =
+      std::function<void(const IncrementalTuResult &, json::Value &)>;
+  /// The replan accounting; each `tus` entry carries the TU's name, replan
+  /// reason and success, then whatever `extra` adds.
+  [[nodiscard]] json::Value toJson(const TuJsonExtra &extra = {}) const;
 };
 
 /// Long-lived whole-program replanner. Thread-safe: replans serialize on an

@@ -1,5 +1,6 @@
 #include "mapping/backend.hpp"
 
+#include "mapping/ast_index.hpp"
 #include "rewrite/rewriter.hpp"
 
 #include <cctype>
@@ -33,135 +34,6 @@ bool JsonBackend::consume(const PlanConsumerInput &input) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Index of the parsed unit keyed by the stable identities the IR records:
-/// statement source ranges, kernel pragma-end offsets, and variable
-/// declaration offsets. Also collects per-function name scopes for extent
-/// expression resolution.
-class AstIndex {
-public:
-  explicit AstIndex(const TranslationUnit &unit) {
-    for (VarDecl *var : unit.globals) {
-      registerVar(var);
-      globalScope_[var->name()] = var;
-    }
-    for (const FunctionDecl *fn : unit.functions) {
-      auto &scope = scopes_[fn->name()];
-      scope = globalScope_;
-      for (VarDecl *param : fn->params()) {
-        registerVar(param);
-        scope[param->name()] = param;
-      }
-      currentScope_ = &scope;
-      visit(fn->body());
-      currentScope_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] const Stmt *stmtAt(std::size_t beginOffset,
-                                   std::size_t endOffset) const {
-    auto it = stmtsByRange_.find({beginOffset, endOffset});
-    return it != stmtsByRange_.end() ? it->second : nullptr;
-  }
-
-  [[nodiscard]] const OmpDirectiveStmt *
-  kernelByPragmaEnd(std::size_t offset) const {
-    auto it = kernelsByPragmaEnd_.find(offset);
-    return it != kernelsByPragmaEnd_.end() ? it->second : nullptr;
-  }
-
-  [[nodiscard]] VarDecl *resolve(const ir::Symbol &symbol) const {
-    auto it = varsByNameAndOffset_.find({symbol.name, symbol.declOffset});
-    return it != varsByNameAndOffset_.end() ? it->second : nullptr;
-  }
-
-  /// Name scope of one function (globals + params + locals), for resolving
-  /// symbolic extent spellings like "n" or "nb * hid".
-  [[nodiscard]] const std::map<std::string, VarDecl *> *
-  scopeOf(const std::string &function) const {
-    auto it = scopes_.find(function);
-    return it != scopes_.end() ? &it->second : nullptr;
-  }
-
-private:
-  void registerVar(VarDecl *var) {
-    // Mirror of the planner's symbol identity: declaration-statement offset
-    // when known, the variable's own range otherwise.
-    const SourceRange range =
-        var->declStmtRange().isValid() ? var->declStmtRange() : var->range();
-    varsByNameAndOffset_.emplace(
-        std::make_pair(var->name(), range.begin.offset), var);
-  }
-
-  void visit(const Stmt *stmt) {
-    if (stmt == nullptr)
-      return;
-    // Parents registered before children: on range collisions the outermost
-    // statement wins, which is what region/update anchors reference.
-    stmtsByRange_.emplace(
-        std::make_pair(stmt->range().begin.offset, stmt->range().end.offset),
-        stmt);
-    switch (stmt->kind()) {
-    case StmtKind::Compound:
-      for (const Stmt *sub : static_cast<const CompoundStmt *>(stmt)->body())
-        visit(sub);
-      return;
-    case StmtKind::Decl:
-      if (currentScope_ != nullptr) {
-        for (VarDecl *var :
-             static_cast<const DeclStmt *>(stmt)->decls()) {
-          registerVar(var);
-          (*currentScope_)[var->name()] = var;
-        }
-      }
-      return;
-    case StmtKind::If: {
-      const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-      visit(ifStmt->thenStmt());
-      visit(ifStmt->elseStmt());
-      return;
-    }
-    case StmtKind::For: {
-      const auto *forStmt = static_cast<const ForStmt *>(stmt);
-      visit(forStmt->init());
-      visit(forStmt->body());
-      return;
-    }
-    case StmtKind::While:
-      visit(static_cast<const WhileStmt *>(stmt)->body());
-      return;
-    case StmtKind::Do:
-      visit(static_cast<const DoStmt *>(stmt)->body());
-      return;
-    case StmtKind::Switch:
-      visit(static_cast<const SwitchStmt *>(stmt)->body());
-      return;
-    case StmtKind::Case:
-      visit(static_cast<const CaseStmt *>(stmt)->sub());
-      return;
-    case StmtKind::Default:
-      visit(static_cast<const DefaultStmt *>(stmt)->sub());
-      return;
-    case StmtKind::OmpDirective: {
-      const auto *directive = static_cast<const OmpDirectiveStmt *>(stmt);
-      kernelsByPragmaEnd_.emplace(directive->pragmaRange().end.offset,
-                                  directive);
-      visit(directive->associated());
-      return;
-    }
-    default:
-      return;
-    }
-  }
-
-  std::map<std::pair<std::size_t, std::size_t>, const Stmt *> stmtsByRange_;
-  std::map<std::size_t, const OmpDirectiveStmt *> kernelsByPragmaEnd_;
-  std::map<std::pair<std::string, std::size_t>, VarDecl *>
-      varsByNameAndOffset_;
-  std::map<std::string, VarDecl *> globalScope_;
-  std::map<std::string, std::map<std::string, VarDecl *>> scopes_;
-  std::map<std::string, VarDecl *> *currentScope_ = nullptr;
-};
 
 /// Recursive-descent parser for IR extent spellings: integer literals,
 /// identifiers resolved in the region function's scope, + - * / % and
@@ -332,7 +204,8 @@ bool ApplyToInterpBackend::consume(const PlanConsumerInput &input) {
   };
 
   for (const ir::Region &region : ir.regions) {
-    const auto *scope = index.scopeOf(region.function);
+    const auto regionScope = index.scopeOf(region.function);
+    const auto *scope = regionScope ? &*regionScope : nullptr;
     interp::PlanOverlay::Region out;
     if (region.appendsToKernel) {
       out.soleKernel =
@@ -341,10 +214,8 @@ bool ApplyToInterpBackend::consume(const PlanConsumerInput &input) {
         return fail("cannot resolve the sole kernel of region '" +
                     region.function + "'");
     } else {
-      out.startStmt =
-          index.stmtAt(region.start.beginOffset, region.start.endOffset);
-      out.endStmt =
-          index.stmtAt(region.end.beginOffset, region.end.endOffset);
+      out.startStmt = index.stmtAt(region.start);
+      out.endStmt = index.stmtAt(region.end);
       if (out.startStmt == nullptr || out.endStmt == nullptr)
         return fail("cannot resolve the extent of region '" +
                     region.function + "'");
@@ -397,8 +268,7 @@ bool ApplyToInterpBackend::consume(const PlanConsumerInput &input) {
       if (var == nullptr)
         return false;
       interp::PlanOverlay::Update out_update;
-      out_update.anchor =
-          index.stmtAt(update.anchor.beginOffset, update.anchor.endOffset);
+      out_update.anchor = index.stmtAt(update.anchor);
       if (out_update.anchor == nullptr)
         return fail("cannot resolve the anchor of an update on '" +
                     var->name() + "'");

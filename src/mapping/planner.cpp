@@ -15,11 +15,6 @@ using ir::UpdatePlacement;
 
 namespace {
 
-bool statesEqual(const std::map<VarDecl *, bool> &a,
-                 const std::map<VarDecl *, bool> &b) {
-  return a == b;
-}
-
 /// A statement referenced by source range. Loop anchors record their body
 /// range too, so BodyBegin/BodyEnd placements materialize without the AST.
 ir::StmtAnchor anchorFor(const Stmt *stmt) {
@@ -405,7 +400,6 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
   facts_.clear();
   updateKeys_.clear();
   sectionMemo_.clear();
-  liveness_ = std::make_unique<LivenessAnalysis>(cfg, *accesses_);
 
   // Child->parent links for this function: region-extent selection walks
   // ancestor chains, and update-execution estimates walk the loop chain
@@ -421,7 +415,6 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
   if (!chooseRegionExtent(cfg, draft))
     return;
   regionBeginOffset_ = draft.startStmt->range().begin.offset;
-  regionEndOffset_ = draft.endStmt->range().end.offset;
 
   // Provable region entries: every entry/exit replays the present-table
   // 0->1/1->0 transition copies, so the function's interprocedural call
@@ -442,77 +435,11 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
     regionEntryCount_ = entries;
   }
 
-  // Validity walk over the region children of the enclosing compound.
-  WalkContext ctx;
-  {
-    // The region statements are consecutive children of one compound; walk
-    // them in order. Find that compound by walking the function body.
-    struct RegionWalker {
-      MappingPlanner &planner;
-      const Stmt *start;
-      const Stmt *end;
-      WalkContext &ctx;
-      RegionDraft &region;
-      bool active = false;
-      bool done = false;
-
-      void visit(const Stmt *stmt) {
-        if (done || stmt == nullptr)
-          return;
-        if (stmt->kind() == StmtKind::Compound) {
-          for (const Stmt *sub :
-               static_cast<const CompoundStmt *>(stmt)->body()) {
-            // The descent below may have found AND finished the region in a
-            // nested compound (sole kernel inside a branch); without this
-            // re-check the walk would continue into the statements after
-            // that branch with `active` still set, treating post-region
-            // host accesses as in-region dependencies (the oracle caught
-            // this as a dead post-region update-from replacing the map's
-            // `from` leg).
-            if (done)
-              return;
-            if (sub == start)
-              active = true;
-            if (active)
-              planner.walkStmt(sub, ctx, region);
-            if (sub == end && active) {
-              done = true;
-              return;
-            }
-            if (!active)
-              visit(sub); // descend looking for the region
-          }
-          return;
-        }
-        switch (stmt->kind()) {
-        case StmtKind::If: {
-          const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-          visit(ifStmt->thenStmt());
-          visit(ifStmt->elseStmt());
-          return;
-        }
-        case StmtKind::For:
-          visit(static_cast<const ForStmt *>(stmt)->body());
-          return;
-        case StmtKind::While:
-          visit(static_cast<const WhileStmt *>(stmt)->body());
-          return;
-        case StmtKind::Do:
-          visit(static_cast<const DoStmt *>(stmt)->body());
-          return;
-        case StmtKind::Switch:
-          visit(static_cast<const SwitchStmt *>(stmt)->body());
-          return;
-        case StmtKind::OmpDirective:
-          visit(static_cast<const OmpDirectiveStmt *>(stmt)->associated());
-          return;
-        default:
-          return;
-        }
-      }
-    } walker{*this, draft.startStmt, draft.endStmt, ctx, draft};
-    walker.visit(fn->body());
-  }
+  // Validity walk over the region: the transfer functions below place the
+  // updates and collect the facts the region-exit decisions read.
+  draft_ = &draft;
+  Walk walk(*this, cfg, *accesses_, extents_);
+  walk.walkRegion(draft.startStmt, draft.endStmt);
 
   // Region-exit decisions, in declaration order so map clause order is
   // stable across Sessions (facts_ is pointer-keyed; its iteration order
@@ -526,37 +453,12 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
     VarFacts &facts = facts_[var];
     if (!facts.referencedInKernel)
       continue;
-    const VarState &state = ctx.state[var];
+    const VarState &state = walk.state[var];
 
-    // Liveness: the host must see device results if the variable may be
-    // read on the host after the region (paper: "the problem becomes a
-    // liveness problem").
-    bool needsFrom = false;
-    if (facts.deviceWrite && !state.hostValid) {
-      // Globals normally escape (another caller may read them), but inside
-      // `main` nothing runs after the function returns and the augmented
-      // event stream already covers callee accesses, so the event scan
-      // below is a sound and precise liveness answer there.
-      const bool preciseGlobals =
-          fn->name() == "main" && var->isGlobal();
-      bool liveAfter = !preciseGlobals && liveness_->escapes(var);
-      if (!liveAfter) {
-        for (const AccessEvent &event : accesses_->events) {
-          if (event.var != var || event.onDevice || event.stmt == nullptr)
-            continue;
-          if (event.kind != AccessKind::Read &&
-              event.kind != AccessKind::Unknown)
-            continue;
-          if (!event.isDataAccess())
-            continue;
-          if (event.stmt->range().begin.offset >= regionEndOffset_) {
-            liveAfter = true;
-            break;
-          }
-        }
-      }
-      needsFrom = liveAfter;
-    }
+    // The host must see device results if it may read the variable after
+    // the region.
+    const bool needsFrom =
+        facts.deviceWrite && !state.hostValid && walk.liveAfterRegion(var);
 
     // A `from` mapping copies out unconditionally at region exit; when the
     // host wrote last (device copy stale on some path), the device must be
@@ -569,7 +471,7 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
       const Stmt *pos = hoistAfterHostWrite(state, nullptr, hoisted);
       if (pos != nullptr)
         addUpdate(var, UpdateDirection::To, pos, UpdatePlacement::After,
-                  hoisted, draft);
+                  hoisted);
     }
 
     const std::optional<SectionInfo> section = sectionFor(var);
@@ -671,156 +573,37 @@ void MappingPlanner::planFunction(const FunctionDecl *fn, const AstCfg &cfg,
     commitRegion(draft, fn, out);
 }
 
-void MappingPlanner::walkStmt(const Stmt *stmt, WalkContext &ctx,
-                              RegionDraft &region) {
-  if (stmt == nullptr)
-    return;
-  switch (stmt->kind()) {
-  case StmtKind::Compound:
-    for (const Stmt *sub : static_cast<const CompoundStmt *>(stmt)->body())
-      walkStmt(sub, ctx, region);
-    return;
-  case StmtKind::Decl:
-  case StmtKind::Expr:
-  case StmtKind::Return:
-    processLeafEvents(stmt, ctx, region);
-    return;
-  case StmtKind::If: {
-    const auto *ifStmt = static_cast<const IfStmt *>(stmt);
-    processLeafEvents(stmt, ctx, region); // condition reads
-    auto snapshot = ctx.state;
-    walkStmt(ifStmt->thenStmt(), ctx, region);
-    auto thenState = std::move(ctx.state);
-    ctx.state = snapshot;
-    if (ifStmt->elseStmt() != nullptr)
-      walkStmt(ifStmt->elseStmt(), ctx, region);
-    mergeStates(ctx.state, thenState);
-    return;
-  }
-  case StmtKind::For:
-  case StmtKind::While:
-  case StmtKind::Do: {
-    const Stmt *body = nullptr;
-    if (stmt->kind() == StmtKind::For) {
-      const auto *forStmt = static_cast<const ForStmt *>(stmt);
-      walkStmt(forStmt->init(), ctx, region);
-      body = forStmt->body();
-    } else if (stmt->kind() == StmtKind::While) {
-      body = static_cast<const WhileStmt *>(stmt)->body();
-    } else {
-      body = static_cast<const DoStmt *>(stmt)->body();
-    }
-    auto entryState = ctx.state;
-    ctx.loops.push_back(stmt);
-    // Iterate the body until the validity state stabilizes: the second pass
-    // exposes loop-carried host<->device dependencies (paper: data valid on
-    // entry must be valid again at the end of the body).
-    for (int iteration = 0; iteration < 4; ++iteration) {
-      std::map<VarDecl *, bool> before;
-      for (const auto &[var, state] : ctx.state)
-        before[var] = state.hostValid && state.devValid;
-      processLeafEvents(stmt, ctx, region); // cond/inc reads
-      walkStmt(body, ctx, region);
-      std::map<VarDecl *, bool> after;
-      for (const auto &[var, state] : ctx.state)
-        after[var] = state.hostValid && state.devValid;
-      if (statesEqual(before, after) && iteration > 0)
-        break;
-    }
-    ctx.loops.pop_back();
-    // for/while bodies may not execute: merge with the entry state. A for
-    // loop with provably positive constant trips is the exception — its
-    // body definitely runs, so its kills stand (a host loop that fully
-    // overwrites an array must count as a kill, or the region exit pays a
-    // dead from-copy plus the update-to guarding it; oracle invariant 2).
-    bool definitelyExecutes = false;
-    if (const auto *forStmt = dynamic_cast<const ForStmt *>(stmt)) {
-      const LoopBounds bounds = analyzeForLoop(forStmt);
-      definitelyExecutes = bounds.valid && bounds.upperConst &&
-                           bounds.lowerConst &&
-                           *bounds.upperConst > *bounds.lowerConst;
-    }
-    if (stmt->kind() != StmtKind::Do && !definitelyExecutes)
-      mergeStates(ctx.state, entryState);
-    return;
-  }
-  case StmtKind::Switch: {
-    const auto *switchStmt = static_cast<const SwitchStmt *>(stmt);
-    processLeafEvents(stmt, ctx, region);
-    auto snapshot = ctx.state;
-    walkStmt(switchStmt->body(), ctx, region);
-    mergeStates(ctx.state, snapshot);
-    return;
-  }
-  case StmtKind::Case:
-    walkStmt(static_cast<const CaseStmt *>(stmt)->sub(), ctx, region);
-    return;
-  case StmtKind::Default:
-    walkStmt(static_cast<const DefaultStmt *>(stmt)->sub(), ctx, region);
-    return;
-  case StmtKind::OmpDirective: {
-    const auto *directive = static_cast<const OmpDirectiveStmt *>(stmt);
-    processLeafEvents(stmt, ctx, region); // clause values / reductions
-    if (directive->associated() != nullptr)
-      walkStmt(directive->associated(), ctx, region);
-    return;
-  }
-  case StmtKind::Break:
-  case StmtKind::Continue:
-  case StmtKind::Null:
-    return;
+void MappingPlanner::join(State &into, const State &branch) {
+  for (const auto &[var, branchState] : branch) {
+    VarState &state = into[var];
+    state.hostValid = state.hostValid && branchState.hostValid;
+    state.devValid = state.devValid && branchState.devValid;
+    state.hostWroteSinceEntry =
+        state.hostWroteSinceEntry || branchState.hostWroteSinceEntry;
+    if (state.lastHostWriteStmt == nullptr)
+      state.lastHostWriteStmt = branchState.lastHostWriteStmt;
+    if (state.lastHostWriteSubscript == nullptr)
+      state.lastHostWriteSubscript = branchState.lastHostWriteSubscript;
+    if (state.lastDeviceWriteKernel == nullptr)
+      state.lastDeviceWriteKernel = branchState.lastDeviceWriteKernel;
   }
 }
 
-bool MappingPlanner::isKernelLocal(const VarDecl *var) const {
-  // Variables declared inside an offload kernel (loop induction variables,
-  // kernel-local temporaries) are device-private per OpenMP semantics and
-  // never participate in mapping decisions.
-  if (var == nullptr || !var->declStmtRange().isValid())
-    return false;
-  for (const OmpDirectiveStmt *kernel : cfg_->kernels())
-    if (kernel->range().contains(var->declStmtRange()))
-      return true;
-  return false;
+bool MappingPlanner::stable(const State &before, const State &after) {
+  return std::equal(before.begin(), before.end(), after.begin(), after.end(),
+                    [](const auto &a, const auto &b) {
+                      return a.first == b.first &&
+                             (a.second.hostValid && a.second.devValid) ==
+                                 (b.second.hostValid && b.second.devValid);
+                    });
 }
 
-void MappingPlanner::processLeafEvents(const Stmt *stmt, WalkContext &ctx,
-                                       RegionDraft &region) {
-  auto it = accesses_->byStmt.find(stmt);
-  if (it == accesses_->byStmt.end())
-    return;
-  for (const AccessEvent &event : it->second) {
-    if (event.var == nullptr)
-      continue;
-    if (isAggregateLike(event.var) && !event.isDataAccess())
-      continue;
-    if (event.onDevice && isKernelLocal(event.var))
-      continue;
-    const bool reads = event.kind == AccessKind::Read ||
-                       event.kind == AccessKind::Unknown;
-    const bool writes = event.kind == AccessKind::Write ||
-                        event.kind == AccessKind::Unknown;
-    if (event.onDevice) {
-      if (reads)
-        handleDeviceRead(event, ctx, region);
-      if (writes)
-        handleDeviceWrite(event, ctx, region);
-    } else {
-      if (reads)
-        handleHostRead(event, ctx, region);
-      if (writes)
-        handleHostWrite(event, ctx, region);
-    }
-  }
-}
-
-void MappingPlanner::handleDeviceRead(const AccessEvent &event,
-                                      WalkContext &ctx, RegionDraft &region) {
+void MappingPlanner::deviceRead(const AccessEvent &event, Walk &walk) {
   VarDecl *var = event.var;
   VarFacts &facts = facts_[var];
   facts.referencedInKernel = true;
   facts.deviceRead = true;
-  VarState &state = ctx.state[var];
+  VarState &state = walk.state[var];
   if (state.devValid)
     return;
   if (!state.hostWroteSinceEntry) {
@@ -849,48 +632,34 @@ void MappingPlanner::handleDeviceRead(const AccessEvent &event,
     // the start of the loop body (paper SIV-F).
     placement = UpdatePlacement::BodyBegin;
   }
-  addUpdate(var, UpdateDirection::To, pos, placement, hoisted, region);
+  addUpdate(var, UpdateDirection::To, pos, placement, hoisted);
   state.devValid = true;
 }
 
-void MappingPlanner::handleDeviceWrite(const AccessEvent &event,
-                                       WalkContext &ctx, RegionDraft &region) {
+void MappingPlanner::deviceWrite(const AccessEvent &event, bool fullCoverage,
+                                 Walk &walk) {
   VarDecl *var = event.var;
   VarFacts &facts = facts_[var];
   facts.referencedInKernel = true;
   facts.deviceWrite = true;
-  VarState &state = ctx.state[var];
+  VarState &state = walk.state[var];
 
-  // A partial write behaves like a read-modify-write of the whole object:
-  // untouched elements must hold current values before the kernel runs.
-  const ExtentInfo extent = effectiveExtent(var);
-  std::vector<const Stmt *> kernelLoops;
-  if (const auto *loops = cfg_->enclosingLoops(event.stmt)) {
-    for (const Stmt *loop : *loops)
-      if (event.kernel == nullptr || contains(event.kernel, loop))
-        kernelLoops.push_back(loop);
-  }
-  const bool fullCoverage =
-      !isAggregateLike(var) // whole-scalar writes always cover the value
-          ? !event.conditional
-          : isFullCoverageWrite(event, var, extent, kernelLoops);
   if (!fullCoverage && !state.devValid) {
     // A partial write needs the object's current value on the device first
     // (untouched elements must survive a later copy-out); resolve it exactly
     // like a read dependency.
     AccessEvent asRead = event;
     asRead.kind = AccessKind::Read;
-    handleDeviceRead(asRead, ctx, region);
+    deviceRead(asRead, walk);
   }
   state.devValid = true;
   state.hostValid = false;
   state.lastDeviceWriteKernel = event.kernel;
 }
 
-void MappingPlanner::handleHostRead(const AccessEvent &event,
-                                    WalkContext &ctx, RegionDraft &region) {
+void MappingPlanner::hostRead(const AccessEvent &event, Walk &walk) {
   VarDecl *var = event.var;
-  VarState &state = ctx.state[var];
+  VarState &state = walk.state[var];
   if (state.hostValid)
     return;
   // True dependency: the device holds the current value. Insert an
@@ -908,7 +677,7 @@ void MappingPlanner::handleHostRead(const AccessEvent &event,
     // producer-end hoist limit is meaningless here (the producer ran last
     // iteration); the real bound is the body of the innermost loop
     // carrying the dependency.
-    for (const Stmt *loop : ctx.loops) { // outermost-first
+    for (const Stmt *loop : walk.loops()) { // outermost-first
       if (!contains(loop, state.lastDeviceWriteKernel))
         continue;
       const Stmt *body = nullptr;
@@ -926,7 +695,7 @@ void MappingPlanner::handleHostRead(const AccessEvent &event,
   bool hoisted = false;
   if (options_.hoistUpdates) {
     const Stmt *found =
-        findUpdateInsertLoc(event.subscript, event.stmt, ctx.loops, locLim);
+        findUpdateInsertLoc(event.subscript, event.stmt, walk.loops(), locLim);
     hoisted = found != event.stmt;
     pos = found;
   }
@@ -954,7 +723,7 @@ void MappingPlanner::handleHostRead(const AccessEvent &event,
   // need no entry copy (bfs's stop_flag stays map(alloc)).
   if (loopCarried && placement == UpdatePlacement::Before)
     facts_[var].needsTo = true;
-  addUpdate(var, UpdateDirection::From, pos, placement, hoisted, region);
+  addUpdate(var, UpdateDirection::From, pos, placement, hoisted);
   state.hostValid = true;
 }
 
@@ -989,40 +758,19 @@ const Stmt *MappingPlanner::hoistAfterHostWrite(
   return pos;
 }
 
-void MappingPlanner::handleHostWrite(const AccessEvent &event,
-                                     WalkContext &ctx, RegionDraft &region) {
+void MappingPlanner::hostWrite(const AccessEvent &event, bool fullCoverage,
+                               Walk &walk) {
   VarDecl *var = event.var;
-  VarState &state = ctx.state[var];
+  VarState &state = walk.state[var];
 
   // A host write only KILLS the variable when it provably overwrites every
   // element; a partial write of device-valid data must sync the untouched
   // elements down first (device->host RAW: exactly a host read), or later
-  // host reads of those elements see stale values. Direct writes prove
-  // coverage against the enclosing loop bounds; call-synthesized writes
-  // carry the interprocedural proof (callee full sweep whose bound equals
-  // the argument's extent at the site).
-  bool fullCoverage;
-  if (!isAggregateLike(var)) {
-    fullCoverage = !event.conditional;
-  } else if (event.fromCall) {
-    fullCoverage = event.provenFullCoverage;
-  } else {
-    const ExtentInfo extent = effectiveExtent(var);
-    // Single-slot objects (scalars behind [1]-arrays, structs written
-    // whole) are covered by any unconditional element write.
-    if (extent.constElems && *extent.constElems == 1)
-      fullCoverage = !event.conditional;
-    else {
-      std::vector<const Stmt *> loops;
-      if (const auto *enclosing = cfg_->enclosingLoops(event.stmt))
-        loops = *enclosing;
-      fullCoverage = isFullCoverageWrite(event, var, extent, loops);
-    }
-  }
+  // host reads of those elements see stale values.
   if (!fullCoverage && !state.hostValid) {
     AccessEvent asRead = event;
     asRead.kind = AccessKind::Read;
-    handleHostRead(asRead, ctx, region);
+    hostRead(asRead, walk);
   }
 
   state.hostValid = true;
@@ -1032,27 +780,9 @@ void MappingPlanner::handleHostWrite(const AccessEvent &event,
   state.lastHostWriteSubscript = event.subscript;
 }
 
-void MappingPlanner::mergeStates(
-    std::map<VarDecl *, VarState> &into,
-    const std::map<VarDecl *, VarState> &branch) {
-  for (const auto &[var, branchState] : branch) {
-    VarState &state = into[var];
-    state.hostValid = state.hostValid && branchState.hostValid;
-    state.devValid = state.devValid && branchState.devValid;
-    state.hostWroteSinceEntry =
-        state.hostWroteSinceEntry || branchState.hostWroteSinceEntry;
-    if (state.lastHostWriteStmt == nullptr)
-      state.lastHostWriteStmt = branchState.lastHostWriteStmt;
-    if (state.lastHostWriteSubscript == nullptr)
-      state.lastHostWriteSubscript = branchState.lastHostWriteSubscript;
-    if (state.lastDeviceWriteKernel == nullptr)
-      state.lastDeviceWriteKernel = branchState.lastDeviceWriteKernel;
-  }
-}
-
 void MappingPlanner::addUpdate(VarDecl *var, UpdateDirection direction,
                                const Stmt *anchor, UpdatePlacement placement,
-                               bool hoisted, RegionDraft &region) {
+                               bool hoisted) {
   const auto key = std::make_tuple(var, direction, anchor);
   if (!updateKeys_.insert(key).second)
     return;
@@ -1068,7 +798,7 @@ void MappingPlanner::addUpdate(VarDecl *var, UpdateDirection direction,
   update.approxBytes = section->bytes;
   update.executions = updateExecutionsAt(anchor, placement);
   update.anchor = anchorFor(anchor);
-  region.updates.emplace_back(var, std::move(update));
+  draft_->updates.emplace_back(var, std::move(update));
 }
 
 ExtentInfo MappingPlanner::effectiveExtent(VarDecl *var) const {

@@ -5,14 +5,15 @@
 //      any loops capturing the first/last kernel),
 //   2. validates that mapped variables are declared before the region
 //      (emitting the paper's "move this declaration" error otherwise),
-//   3. runs a forward validity walk over the AST-CFG region tracking which
-//      memory space holds each variable's current value. Every host<->device
-//      RAW dependency is resolved by the paper's fixed placement rule: a
-//      value current at region entry is mapped `to` on the region, a newer
-//      value gets a `target update` hoisted out of indexing loops per
-//      Algorithm 1, and read-only scalars become `firstprivate`. The
-//      PlannerOptions ablation switches turn the firstprivate, hoisting and
-//      region-extent steps off.
+//   3. runs the forward validity walk over the AST-CFG region (the skeleton
+//      in analysis/validity_walk.hpp, shared with the plan-safety checker)
+//      tracking which memory space holds each variable's current value.
+//      Every host<->device RAW dependency is resolved by the paper's fixed
+//      placement rule: a value current at region entry is mapped `to` on
+//      the region, a newer value gets a `target update` hoisted out of
+//      indexing loops per Algorithm 1, and read-only scalars become
+//      `firstprivate`. The PlannerOptions ablation switches turn the
+//      firstprivate, hoisting and region-extent steps off.
 //   4. infers array sections from bounds analysis / malloc extents.
 //
 // The result is the Mapping IR itself: AST pointers stay inside the
@@ -23,8 +24,8 @@
 #include "analysis/bounds.hpp"
 #include "analysis/extent.hpp"
 #include "analysis/interproc.hpp"
-#include "analysis/liveness.hpp"
 #include "analysis/summary.hpp"
+#include "analysis/validity_walk.hpp"
 #include "cfg/cfg.hpp"
 #include "mapping/ir.hpp"
 #include "support/diagnostics.hpp"
@@ -58,7 +59,9 @@ struct PlannerOptions {
   const summary::TuImports *imports = nullptr;
 };
 
-class MappingPlanner {
+/// The validity walk's planner policy: must-valid bits per variable,
+/// AND-merged at joins, with placement decisions as the transfer functions.
+class MappingPlanner : private ValidityHooks {
 public:
   MappingPlanner(const TranslationUnit &unit,
                  const InterproceduralResult &interproc,
@@ -81,6 +84,14 @@ private:
     const Stmt *lastHostWriteStmt = nullptr;
     const ArraySubscriptExpr *lastHostWriteSubscript = nullptr;
     const OmpDirectiveStmt *lastDeviceWriteKernel = nullptr;
+
+    [[nodiscard]] bool operator==(const VarState &other) const {
+      return hostValid == other.hostValid && devValid == other.devValid &&
+             hostWroteSinceEntry == other.hostWroteSinceEntry &&
+             lastHostWriteStmt == other.lastHostWriteStmt &&
+             lastHostWriteSubscript == other.lastHostWriteSubscript &&
+             lastDeviceWriteKernel == other.lastDeviceWriteKernel;
+    }
   };
   struct VarFacts {
     bool needsTo = false;
@@ -88,12 +99,9 @@ private:
     bool deviceWrite = false;
     bool referencedInKernel = false;
   };
-  struct WalkContext {
-    std::map<VarDecl *, VarState> state;
-    /// Loops (outermost-first) currently enclosing the walk position,
-    /// restricted to host-side loops inside the region.
-    std::vector<const Stmt *> loops;
-  };
+  using State = std::map<VarDecl *, VarState>;
+  using Walk = ValidityWalk<MappingPlanner>;
+  friend Walk;
   /// IR items paired with the variable each one maps.
   template <typename Item>
   using VarItems = std::vector<std::pair<VarDecl *, Item>>;
@@ -132,24 +140,21 @@ private:
   /// Region extent selection (step 1).
   bool chooseRegionExtent(const AstCfg &cfg, RegionDraft &draft);
 
-  /// Validity walk (step 3).
-  void walkStmt(const Stmt *stmt, WalkContext &ctx, RegionDraft &region);
-  void processLeafEvents(const Stmt *stmt, WalkContext &ctx,
-                         RegionDraft &region);
-  void handleDeviceRead(const AccessEvent &event, WalkContext &ctx,
-                        RegionDraft &region);
-  void handleDeviceWrite(const AccessEvent &event, WalkContext &ctx,
-                         RegionDraft &region);
-  void handleHostRead(const AccessEvent &event, WalkContext &ctx,
-                      RegionDraft &region);
-  void handleHostWrite(const AccessEvent &event, WalkContext &ctx,
-                       RegionDraft &region);
-  void mergeStates(std::map<VarDecl *, VarState> &into,
-                   const std::map<VarDecl *, VarState> &branch);
+  /// Validity walk policy (step 3).
+  static void join(State &into, const State &branch);
+  /// The loop fixed point settles once every variable's both-valid bit
+  /// repeats.
+  static bool stable(const State &before, const State &after);
+  void deviceRead(const AccessEvent &event, Walk &walk);
+  void deviceWrite(const AccessEvent &event, bool fullCoverage, Walk &walk);
+  void hostRead(const AccessEvent &event, Walk &walk);
+  void hostWrite(const AccessEvent &event, bool fullCoverage, Walk &walk);
 
+  /// Adds an update to the region being planned, once per (variable,
+  /// direction, anchor).
   void addUpdate(VarDecl *var, ir::UpdateDirection direction,
                  const Stmt *anchor, ir::UpdatePlacement placement,
-                 bool hoisted, RegionDraft &region);
+                 bool hoisted);
 
   /// Interprocedural execution-count estimate per function: entry functions
   /// execute once; a callee executes caller-executions times the constant
@@ -201,9 +206,6 @@ private:
   /// the shared ExtentResolver (also used by the plan-safety checker).
   [[nodiscard]] ExtentInfo effectiveExtent(VarDecl *var) const;
 
-  /// True for variables declared inside an offload kernel (device-private).
-  [[nodiscard]] bool isKernelLocal(const VarDecl *var) const;
-
   /// Whether a loop statement (by source range) contains another statement.
   [[nodiscard]] static bool contains(const Stmt *outer, const Stmt *inner);
 
@@ -227,8 +229,8 @@ private:
 
   // Per-function working state.
   const FunctionAccessInfo *accesses_ = nullptr;
-  std::unique_ptr<LivenessAnalysis> liveness_;
   const AstCfg *cfg_ = nullptr;
+  RegionDraft *draft_ = nullptr; ///< the region being planned
   std::map<VarDecl *, VarFacts> facts_;
   std::set<std::tuple<VarDecl *, ir::UpdateDirection, const Stmt *>>
       updateKeys_;
@@ -236,7 +238,6 @@ private:
   mutable std::unordered_map<VarDecl *, std::optional<SectionInfo>>
       sectionMemo_;
   std::size_t regionBeginOffset_ = 0;
-  std::size_t regionEndOffset_ = 0;
   /// Provable entries of the current region (planFunction).
   std::uint64_t regionEntryCount_ = 1;
   /// Child -> parent statement links of the current function, for walking

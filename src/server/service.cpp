@@ -435,24 +435,17 @@ json::Value PlanService::handleProject(const json::Value &request,
     counters_->addStage(stage, replan.stageSeconds[stage],
                         replan.stageRuns[stage]);
 
-  json::Value result = replan.toJson();
+  // The replan accounting plus the payload the wire client needs per TU
+  // (cache status and output).
+  const bool withReport = request.boolOr("report");
+  json::Value result = replan.toJson(
+      [&](const IncrementalTuResult &tu, json::Value &tuJson) {
+        tuJson.set("cache", cacheStatusName(tu.item->cacheStatus));
+        tuJson.set("output", tu.item->output);
+        if (withReport)
+          tuJson.set("report", tu.item->report.toJson());
+      });
   result.set("project", projectName);
-  // Rebuild the per-TU array with the payload the wire client needs
-  // (outputs + cache status) on top of the replan accounting.
-  json::Value tusJson = json::Value::array();
-  for (const IncrementalTuResult &tu : replan.tus) {
-    json::Value tuJson = json::Value::object();
-    tuJson.set("name", tu.name);
-    tuJson.set("reason", replanReasonName(tu.reason));
-    tuJson.set("summaryReused", tu.summaryReused);
-    tuJson.set("success", tu.item->success);
-    tuJson.set("cache", cacheStatusName(tu.item->cacheStatus));
-    tuJson.set("output", tu.item->output);
-    if (request.boolOr("report"))
-      tuJson.set("report", tu.item->report.toJson());
-    tusJson.push(std::move(tuJson));
-  }
-  result.set("tus", std::move(tusJson));
   return result;
 }
 

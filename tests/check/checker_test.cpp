@@ -192,6 +192,79 @@ TEST(CheckerTest, CheckStageRunsOnceInFullPipeline) {
   EXPECT_TRUE(report.check->clean());
 }
 
+/// A kernel and a partial host write inside `depth` nested one-trip loops.
+std::string deepLoopNest(unsigned depth) {
+  std::string source = "double a[4];\nvoid f(void) {\n";
+  for (unsigned i = 0; i < depth; ++i) {
+    const std::string var = "i" + std::to_string(i);
+    source += "  for (int " + var + " = 0; " + var + " < 1; ++" + var + ")\n";
+  }
+  source += "  {\n"
+            "#pragma omp target teams distribute parallel for\n"
+            "    for (int k = 0; k < 4; ++k) a[k] = a[k] + 1.0;\n"
+            "    a[0] = 2.0;\n"
+            "  }\n"
+            "}\n";
+  return source;
+}
+
+// Each loop below the outermost is walked once per fixed-point pass of
+// every enclosing loop; without the walk's loop memo a nest of n loops
+// costs 2^n body walks and these depths never finish.
+TEST(CheckerTest, DeepLoopNestsPlanAndCheckWithoutBlowup) {
+  for (const unsigned depth : {24u, 40u}) {
+    PipelineConfig config;
+    config.check = true;
+    Session session("deep.c", deepLoopNest(depth), config);
+    ASSERT_TRUE(session.run()) << depth;
+    const ir::MappingIr &ir = session.ir();
+    ASSERT_EQ(ir.regions.size(), 1u) << depth;
+    EXPECT_NE(findMap(ir.regions[0], "a", ir::MapType::To),
+              static_cast<std::size_t>(-1))
+        << depth;
+    EXPECT_EQ(ir.regions[0].updates.size(), 2u) << depth;
+    EXPECT_TRUE(session.check().clean()) << depth;
+    EXPECT_EQ(session.check().regionsChecked, 1u) << depth;
+  }
+}
+
+// Symbols resolve only within the region's function: a map item retargeted
+// to another function's local leaves its region unresolved, so the region
+// is skipped rather than walked against a variable it never touches.
+TEST(CheckerTest, SymbolOfAnotherFunctionSkipsTheRegion) {
+  const std::string source =
+      "void f(void) {\n"
+      "  double a[8];\n"
+      "  for (int i = 0; i < 8; ++i) a[i] = i;\n"
+      "#pragma omp target teams distribute parallel for\n"
+      "  for (int i = 0; i < 8; ++i) a[i] = a[i] * 2.0;\n"
+      "  a[0] = a[1];\n"
+      "}\n"
+      "void g(void) {\n"
+      "  double b[8];\n"
+      "  for (int i = 0; i < 8; ++i) b[i] = i;\n"
+      "#pragma omp target teams distribute parallel for\n"
+      "  for (int i = 0; i < 8; ++i) b[i] = b[i] + 1.0;\n"
+      "  b[0] = b[1];\n"
+      "}\n";
+  Session session("scoped.c", source);
+  const ir::MappingIr &ir = session.ir();
+  std::size_t fIndex = 0;
+  const ir::Region *g = regionFor(ir, "g");
+  ASSERT_NE(regionFor(ir, "f", &fIndex), nullptr);
+  ASSERT_NE(g, nullptr);
+  ASSERT_FALSE(ir.regions[fIndex].maps.empty());
+  ASSERT_FALSE(g->maps.empty());
+  EXPECT_EQ(session.check().regionsChecked, 2u);
+
+  ir::MappingIr mutant = ir;
+  mutant.regions[fIndex].maps[0].symbol = g->maps[0].symbol;
+  const CheckResult result = check::checkPlan(
+      session.parse().unit(), session.cfg(), session.interproc(), mutant);
+  EXPECT_EQ(result.regionsChecked, 1u);
+  EXPECT_TRUE(result.clean());
+}
+
 // ---------------------------------------------------------------------------
 // The eight oracle regressions as IR mutations
 // ---------------------------------------------------------------------------

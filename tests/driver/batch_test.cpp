@@ -121,5 +121,19 @@ TEST(BatchDriverTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(result.stats.wallSeconds, 0.0);
 }
 
+// The contract that plans, reports and rewrites did not change: the cold
+// corpus (nine benchmarks + 500 generated programs, cache off) must
+// reproduce the identity digest bench_cold reports. A change that moves it
+// on purpose updates this pin and says why.
+TEST(IdentityDigestTest, ColdCorpusDigestIsPinned) {
+  BatchDriver::Options options;
+  options.config.cacheMode = cache::CacheMode::Off;
+  options.config.includeOutputInReport = false;
+  const BatchResult result = BatchDriver(options).run(coldJobs());
+  ASSERT_EQ(result.items.size(), 9u + kColdCorpusSeeds);
+  EXPECT_EQ(result.stats.succeeded, result.stats.jobs);
+  EXPECT_EQ(identityDigest(result), "5266d21016e0bcec2c10a11f512efce5");
+}
+
 } // namespace
 } // namespace ompdart

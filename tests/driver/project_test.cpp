@@ -30,14 +30,20 @@ ProjectManifest xsbenchManifest() {
   return manifest;
 }
 
-fs::path freshDir(const char *tag) {
-  std::random_device rd;
-  const fs::path dir =
-      fs::temp_directory_path() /
-      (std::string("ompdart-project-") + tag + "-" + std::to_string(rd()));
-  fs::remove_all(dir);
-  return dir;
-}
+/// A fresh temp directory, removed with the object.
+struct ScopedDir {
+  fs::path path;
+  explicit ScopedDir(const char *tag) {
+    std::random_device rd;
+    path = fs::temp_directory_path() /
+           (std::string("ompdart-project-") + tag + "-" + std::to_string(rd()));
+    fs::remove_all(path);
+  }
+  ~ScopedDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
 
 // Acceptance pin: every suite benchmark routed through a one-TU project
 // produces a byte-identical emitted source and an identical IR to the
@@ -140,7 +146,8 @@ TEST(ProjectSessionTest, MultiTuImportsRemovePessimismAndReconcile) {
 }
 
 TEST(ProjectSessionTest, ManifestLoadsRelativeTuPaths) {
-  const fs::path dir = freshDir("manifest");
+  const ScopedDir scoped("manifest");
+  const fs::path &dir = scoped.path;
   fs::create_directories(dir);
   {
     std::ofstream a(dir / "alpha.c");
@@ -163,7 +170,6 @@ TEST(ProjectSessionTest, ManifestLoadsRelativeTuPaths) {
 
   EXPECT_FALSE(
       ProjectManifest::fromJsonFile((dir / "missing.json").string()));
-  fs::remove_all(dir);
 }
 
 TEST(BatchProjectTest, ProjectModeSchedulesAndSucceeds) {
@@ -201,8 +207,9 @@ TEST(BatchProjectTest, RepeatRunProjectSkipsSummaryReExtraction) {
     jobs.push_back({tu.name, tu.name, tu.source});
   const unsigned tuCount = static_cast<unsigned>(jobs.size());
 
-  const fs::path cacheDir = freshDir("runproject-cache");
-  cache::PlanCache shared(cacheDir.string(), cache::CacheMode::ReadWrite);
+  const ScopedDir cacheDir("runproject-cache");
+  cache::PlanCache shared(cacheDir.path.string(),
+                         cache::CacheMode::ReadWrite);
   BatchDriver::Options options;
   options.config.planCache = &shared;
   options.config.includeOutputInReport = false;
@@ -240,9 +247,9 @@ TEST(BatchProjectTest, RepeatRunProjectSkipsSummaryReExtraction) {
 // imports fingerprints are unchanged); editing a TU in a way that changes
 // its exported summary re-plans its dependents.
 TEST(ProjectCacheTest, ImportsKeyedIncrementalRePlanning) {
-  const fs::path cacheDir = freshDir("cache");
+  const ScopedDir cacheDir("cache");
   PipelineConfig config;
-  config.cacheDir = cacheDir.string();
+  config.cacheDir = cacheDir.path.string();
   config.cacheMode = cache::CacheMode::ReadWrite;
   config.includeOutputInReport = false;
 
@@ -349,8 +356,6 @@ TEST(ProjectCacheTest, ImportsKeyedIncrementalRePlanning) {
                        update.item.rfind("results", 0) == 0);
     EXPECT_TRUE(hasUpdateTo);
   }
-
-  fs::remove_all(cacheDir);
 }
 
 } // namespace

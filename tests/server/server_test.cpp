@@ -8,6 +8,7 @@
 #include "server/server.hpp"
 #include "server/service.hpp"
 
+#include "driver/incremental.hpp"
 #include "driver/pipeline.hpp"
 #include "support/json.hpp"
 
@@ -329,6 +330,75 @@ TEST(PlanServiceTest, ProjectRequestsReplanIncrementally) {
   EXPECT_EQ(service.heldProjects(), 0u);
 }
 
+/// `value` with every wall-clock member ("seconds", "*Seconds") zeroed.
+json::Value withoutTimings(const json::Value &value) {
+  if (value.isArray()) {
+    json::Value out = json::Value::array();
+    for (const json::Value &item : value.items())
+      out.push(withoutTimings(item));
+    return out;
+  }
+  if (!value.isObject())
+    return value;
+  json::Value out = json::Value::object();
+  for (const auto &[key, member] : value.members()) {
+    const bool timing =
+        key == "seconds" ||
+        (key.size() > 7 && key.compare(key.size() - 7, 7, "Seconds") == 0);
+    out.set(key, timing ? json::Value(0.0) : withoutTimings(member));
+  }
+  return out;
+}
+
+// A project reply is the replan's own JSON plus, per TU, the cache status,
+// the output and (on request) the report, then the project name. Pinned
+// byte for byte against a reply assembled by hand from an identical
+// replan.
+TEST(PlanServiceTest, ProjectReplyBytesArePinned) {
+  const std::vector<ProjectTu> tus = {{"main.c", "main.c", kKernelSource},
+                                      {"other.c", "other.c", kOtherSource}};
+  json::Value request = json::Value::object();
+  request.set("method", json::Value("project"));
+  request.set("project", json::Value("app"));
+  request.set("report", json::Value(true));
+  json::Value tusJson = json::Value::array();
+  for (const ProjectTu &tu : tus) {
+    json::Value entry = json::Value::object();
+    entry.set("file", json::Value(tu.fileName));
+    entry.set("source", json::Value(tu.source));
+    tusJson.push(std::move(entry));
+  }
+  request.set("tus", std::move(tusJson));
+  PlanService service(ServiceOptions{});
+  const json::Value reply = service.handle(request);
+  ASSERT_TRUE(reply.boolOr("ok", false));
+  ASSERT_NE(reply.find("result"), nullptr);
+
+  PipelineConfig config;
+  config.includeOutputInReport = true;
+  IncrementalProject project(config);
+  const IncrementalResult replan = project.replan(tus);
+  json::Value expected = replan.toJson();
+  expected.set("project", json::Value("app"));
+  json::Value expectedTus = json::Value::array();
+  for (const IncrementalTuResult &tu : replan.tus) {
+    ASSERT_EQ(tu.item->cacheStatus, Session::PlanCacheStatus::Disabled);
+    json::Value entry = json::Value::object();
+    entry.set("name", tu.name);
+    entry.set("reason", replanReasonName(tu.reason));
+    entry.set("summaryReused", tu.summaryReused);
+    entry.set("success", tu.item->success);
+    entry.set("cache", "disabled");
+    entry.set("output", tu.item->output);
+    entry.set("report", tu.item->report.toJson());
+    expectedTus.push(std::move(entry));
+  }
+  expected.set("tus", std::move(expectedTus));
+
+  EXPECT_EQ(withoutTimings(*reply.find("result")).dump(),
+            withoutTimings(expected).dump());
+}
+
 TEST(PlanServiceTest, InvalidateDuringConcurrentProjectRequestsIsSafe) {
   PlanService service(ServiceOptions{});
 
@@ -383,13 +453,15 @@ TEST(PlanServiceTest, InvalidateDuringConcurrentProjectRequestsIsSafe) {
 
 class PlanServerTest : public ::testing::Test {
 protected:
-  /// Socket paths live in /tmp directly: sockaddr_un caps the path at
-  /// ~100 bytes and nested temp dirs flirt with it.
-  std::string socketPathFor(const std::string &tag) {
-    return (fs::temp_directory_path() /
-            ("ompdart-sock-" + tag + "-" + std::to_string(::getpid())))
-        .string();
+  /// Sockets and the start-lock files beside them live in one short
+  /// per-test directory (sockaddr_un caps the path at ~100 bytes), removed
+  /// with the fixture.
+  std::string socketPathFor(const std::string &tag) const {
+    return (sockets_.path / tag).string();
   }
+
+private:
+  TempDir sockets_{"sock"};
 };
 
 TEST_F(PlanServerTest, ServesPlanRequestsByteIdenticalToOneShot) {
